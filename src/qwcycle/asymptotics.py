@@ -17,36 +17,37 @@ yields every asymptotic observable:
   * reduced coin density matrix:  rho_c = sum_k Theta(k, k)
   * limiting node distribution:   pi(v) = 1/N + (1/N) Re sum_k
         e^{2 pi i v (k - k')/N} tr Theta(k, k'),
-    summed over the cross pairs (k, k' = partner(k) != k) of the degeneracy
-    table; with no degeneracy the distribution is exactly uniform.
+    summed over the cross pairs (k, k') of degenerate blocks; with no
+    degeneracy the distribution is exactly uniform.
 
 For one block (k = k'), M reduces to sum_i P_i (x) P_i over the eigen-
 projectors -- plus the zone-crossing terms when the block is scalar, in which
 case M is the SWAP matrix and Theta(k,k) = |psi_k><psi_k| passes through the
 average untouched (a degenerate block has nothing to dephase).
+
+The closed forms below evaluate the same sums on the arrays of
+``spectral.spectrum``; M and Theta stay as the reference definitions.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from dataclasses import astuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .coin import CoinParams
 from .evolution import check_distribution, check_reduced_density
-from .spectral import (
-    EIGENVALUE_MATCH_TOL,
-    KBlock,
-    degeneracy_table,
-    solve_all_blocks,
-)
+from .spectral import DEGENERACY_TOL, KBlock, Spectrum, group_eigenphases, spectrum
 from .state import WalkState, momentum_spinors
 
 __all__ = [
     "m_matrix",
     "m_kk_closed_form",
     "theta_matrix",
+    "pinched_sum",
     "asymptotic_reduced_density",
     "limiting_distribution",
     "hadamard_local_ld",
@@ -56,7 +57,7 @@ __all__ = [
 def m_matrix(kb: KBlock, kb_prime: KBlock) -> NDArray[np.complex128]:
     """Characteristic matrix M(k, k') from eigenvalue-matched eigenvector pairs.
 
-    Every (i, j) with |lambda_k^(i) - lambda_k'^(j)| < 1e-9 contributes; for a
+    Every (i, j) whose eigenphases lie within DEGENERACY_TOL contributes; for a
     generic pair that is the two same-zone matches, while scalar blocks also
     pair zone I with zone II.  Independent of the eigenvector phase gauge.
 
@@ -69,7 +70,7 @@ def m_matrix(kb: KBlock, kb_prime: KBlock) -> NDArray[np.complex128]:
     matched = False
     for i in (0, 1):
         for j in (0, 1):
-            if abs(kb.eigenvalues[i] - kb_prime.eigenvalues[j]) < EIGENVALUE_MATCH_TOL:
+            if abs(cmath.phase(kb.eigenvalues[i] / kb_prime.eigenvalues[j])) <= DEGENERACY_TOL:
                 matched = True
                 v = kb.vectors[:, i]
                 vp = kb_prime.vectors[:, j]
@@ -120,6 +121,17 @@ def theta_matrix(
     return np.einsum("bf,afcb->ac", r, m.reshape(2, 2, 2, 2))
 
 
+def pinched_sum(spec: Spectrum, sector: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """sum_k of the sector densities R_k (..., N, 2, 2), each pinched onto its
+    block's eigenbasis, sum_i <v|R_k|v> |v><v| (whole where the block is scalar);
+    by Parseval only the grouping within a block matters for this sum."""
+    v = spec.vectors
+    weights = np.einsum("...kai,...kab,...kbi->...ki", v.conj(), sector, v).real
+    pinched = np.einsum("...ki,...kai,...kbi->...kab", weights, v, v.conj())
+    rho = np.where(spec.scalar[..., None, None], sector, pinched).sum(axis=-3)
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))  # scrub antisymmetric float dust
+
+
 def asymptotic_reduced_density(
     state0: WalkState, coin: CoinParams, n_nodes: int | None = None
 ) -> NDArray[np.complex128]:
@@ -127,13 +139,8 @@ def asymptotic_reduced_density(
     n = state0.n_nodes if n_nodes is None else int(n_nodes)
     if n != state0.n_nodes:
         raise ValueError(f"state lives on N={state0.n_nodes}, not N={n}")
-    blocks = solve_all_blocks(coin, n)
     psis = momentum_spinors(state0)
-    rho = np.zeros((2, 2), dtype=np.complex128)
-    for kb in blocks:
-        psi = psis[:, kb.k]
-        rho += theta_matrix(m_matrix(kb, kb), psi, psi)
-    rho = 0.5 * (rho + rho.conj().T)  # scrub antisymmetric float dust
+    rho = pinched_sum(spectrum(n, *astuple(coin)), np.einsum("ak,bk->kab", psis, psis.conj()))
     check_reduced_density(rho)
     return rho
 
@@ -141,31 +148,43 @@ def asymptotic_reduced_density(
 def limiting_distribution(
     state0: WalkState, coin: CoinParams, n_nodes: int | None = None
 ) -> NDArray[np.float64]:
-    """Infinite-time-averaged node distribution pi(v).
+    """Infinite-time-averaged node distribution pi(v) = sum_g |P_g psi (v)|^2.
 
-    Uniform plus the interference carried by cross-degenerate momentum pairs;
-    exactly uniform whenever the degeneracy table is empty.  Negative entries
-    above -1e-12 (accumulated float dust) are clipped and the vector
-    renormalized so downstream consumers get a true distribution.
+    P_g projects onto one group of coinciding eigenphases: each (k, zone) adds
+    p_k^i, or psi_k whole where both zones of block k share a group.  Groups
+    of one add uniformly, the cross terms of all groups of two go through one
+    inverse FFT, and larger groups (all N blocks at theta = pi/2) one each.
+    Exactly uniform when no group spans two blocks.  Negative entries above
+    -1e-12 (float dust) are clipped and the vector renormalized.
     """
     n = state0.n_nodes if n_nodes is None else int(n_nodes)
     if n != state0.n_nodes:
         raise ValueError(f"state lives on N={state0.n_nodes}, not N={n}")
-    table = degeneracy_table(coin, n)
-    cross = table.cross_pairs()
-    if not cross:
+    spec = spectrum(n, *astuple(coin))
+    labels = group_eigenphases(spec.phases)
+    psis = momentum_spinors(state0).T  # (N, 2)
+    coef = np.einsum("kbi,kb->ki", spec.vectors.conj(), psis)  # <v_k^i|psi_k>
+    parts = np.einsum("ki,kai->kia", coef, spec.vectors)  # p_k^i
+    whole = labels[:, 0] == labels[:, 1]
+    parts[whole, 0] = psis[whole]
+    keep = np.stack([np.ones(n, dtype=bool), ~whole], axis=1)
+    ks = np.nonzero(keep)[0]
+    labels, parts = labels[keep], parts[keep]
+    size = np.bincount(labels)[labels]
+    if size.max() == 1:
         return np.full(n, 1.0 / n)
 
-    blocks = solve_all_blocks(coin, n)
-    psis = momentum_spinors(state0)
-    v = np.arange(n)
-    acc = np.zeros(n, dtype=np.complex128)
-    for k, kp in cross:
-        m = m_matrix(blocks[k], blocks[kp])
-        trace = np.trace(theta_matrix(m, psis[:, k], psis[:, kp]))
-        acc += np.exp(2j * math.pi * v * (k - kp) / n) * trace
-    # the pair sum pairs (k, k') with (k', k) as conjugates, so acc is real
-    probs = 1.0 / n + acc.real / n
+    probs = np.full(n, (np.abs(parts[size <= 2]) ** 2).sum() / n)
+    order = np.argsort(labels, kind="stable")
+    a, b = order[size[order] == 2].reshape(-1, 2).T  # the two members of each pair
+    inner = np.einsum("ma,ma->m", parts[b].conj(), parts[a])
+    shift = (ks[a] - ks[b]) % n
+    cross = np.bincount(shift, inner.real, n) + 1j * np.bincount(shift, inner.imag, n)
+    probs += 2.0 * np.fft.ifft(cross).real
+    for g in np.flatnonzero(np.bincount(labels) > 2):
+        amps = np.zeros((2, n), dtype=np.complex128)
+        amps[:, ks[labels == g]] = parts[labels == g].T
+        probs += n * (np.abs(np.fft.ifft(amps, axis=1)) ** 2).sum(axis=0)
 
     probs[(probs < 0) & (probs > -1e-12)] = 0.0
     probs /= probs.sum()
@@ -193,12 +212,11 @@ def hadamard_local_ld(n_nodes: int, t: int = 0) -> NDArray[np.float64]:
         return np.full(n, 1.0 / n)
     shifted = np.arange(n) - t
     sign = np.where(shifted % 2 == 0, 1.0, -1.0)
-    total = np.zeros(n)
-    for k in range(n):
-        if n % 4 == 0 and k in (n // 4, 3 * n // 4):
-            continue
-        w = 2.0 * math.pi * k / n
-        total += math.sin(w) * np.sin(w * (2 * shifted + 1)) / (math.cos(w) ** 2 + 1.0)
+    w = 2.0 * np.pi * np.arange(n) / n
+    weight = np.sin(w) / (np.cos(w) ** 2 + 1.0)
+    if n % 4 == 0:
+        weight[[n // 4, 3 * n // 4]] = 0.0
+    total = n * np.fft.ifft(weight)[(2 * shifted + 1) % n].imag
     probs = 1.0 / n + sign * total / n**2
     check_distribution(probs)
     return probs

@@ -19,24 +19,22 @@ Two scan drivers map the temperature landscape:
     under the Hadamard coin (the scan measures what the extra phases do, so
     its natural baseline is the phase choice the Hadamard coin makes).
 
-Both scans run on a vectorized spectral path that evaluates
-rho_c = sum_{k,i} <v_i(k)| R_k |v_i(k)> |v_i(k)><v_i(k)| over all momenta at
-once; it is exact whenever no momentum block is scalar (all sin(alpha) > 1e-9,
-guaranteed at theta = pi/4 and for any coin with |cos theta| < 1), and falls
-back to the per-block eigenprojector path otherwise.
+Both scans use ``asymptotics.pinched_sum`` on ``spectral.spectrum``: one
+spectrum per zeta row for the phase scan, one in all for the Bloch scan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .asymptotics import asymptotic_reduced_density
+from .asymptotics import asymptotic_reduced_density, pinched_sum
 from .coin import CoinParams, hadamard_params
-from .state import Bloch, InitialStateSpec, WalkState, make_state, momentum_spinors
+from .spectral import spectrum
+from .state import InitialStateSpec, WalkState, make_state, momentum_spinors
 
 __all__ = [
     "TemperatureResult",
@@ -52,6 +50,8 @@ __all__ = [
 _MIXED_GAP_TOL = 1e-13
 # lambda2 at or below this means "pure": T = 0.
 _PURE_TOL = 1e-14
+# identity and Pauli matrices: a real basis of the Hermitian 2x2 matrices
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 @dataclass(frozen=True)
@@ -125,61 +125,6 @@ def _axis(spec: tuple[float, float, int]) -> NDArray[np.float64]:
 
 
 # ---------------------------------------------------------------------------
-# vectorized spectral path
-# ---------------------------------------------------------------------------
-
-def _all_blocks_arrays(
-    theta: float, zeta: float, xi: float, n: int
-) -> tuple[NDArray, NDArray]:
-    """Eigenvectors V (N, 2 zones, 2 comps) and sin(alpha) (N,) for all blocks.
-
-    Same construction as spectral.solve_block, restated over the whole k axis;
-    only valid away from scalar blocks (caller checks min sin(alpha)).
-    """
-    w = 2.0 * math.pi * np.arange(n) / n
-    cos_alpha = np.clip(math.cos(theta) * np.cos(w - zeta), -1.0, 1.0)
-    alpha = np.arccos(cos_alpha)
-    sin_alpha = np.sin(alpha)
-
-    a = np.exp(1j * (zeta - w)) * math.cos(theta)
-    b = np.exp(1j * (xi - w)) * math.sin(theta)
-    c = -np.conj(b)
-    d = np.conj(a)
-    vecs = np.empty((n, 2, 2), dtype=np.complex128)
-    for zone, mu in ((0, np.exp(1j * alpha)), (1, np.exp(-1j * alpha))):
-        v1 = np.stack([b, mu - a], axis=1)
-        v2 = np.stack([mu - d, c], axis=1)
-        n1 = np.abs(v1[:, 0]) ** 2 + np.abs(v1[:, 1]) ** 2
-        n2 = np.abs(v2[:, 0]) ** 2 + np.abs(v2[:, 1]) ** 2
-        pick = (n1 >= n2)[:, None]
-        v = np.where(pick, v1, v2)
-        # scalar blocks have zero candidates; callers reject them via
-        # sin_alpha, so just keep the division quiet there
-        v /= np.sqrt(np.maximum(np.maximum(n1, n2), 1e-300))[:, None]
-        vecs[:, zone, :] = v
-    return vecs, sin_alpha
-
-
-def _rho_c_fast(
-    vecs: NDArray[np.complex128], sector_density: NDArray[np.complex128]
-) -> NDArray[np.complex128]:
-    """rho_c = sum_{k, zone} <v|R_k|v> |v><v| given V (N,2,2) and R (N,2,2)."""
-    weights = np.einsum("kza,kab,kzb->kz", np.conj(vecs), sector_density, vecs)
-    rho = np.einsum("kz,kza,kzb->ab", weights.real, vecs, np.conj(vecs))
-    return 0.5 * (rho + rho.conj().T)
-
-
-def _local_sector_density(chi: NDArray[np.complex128], n: int) -> NDArray[np.complex128]:
-    """R_k for a coin spinor chi localized at one node: chi chi^dag / N for all k."""
-    r = np.outer(chi, np.conj(chi)) / n
-    return np.broadcast_to(r, (n, 2, 2))
-
-
-def _temperature_from_rho(rho: NDArray[np.complex128], e0: float) -> float:
-    return entanglement_temperature(rho, e0=e0).temperature
-
-
-# ---------------------------------------------------------------------------
 # scan drivers
 # ---------------------------------------------------------------------------
 
@@ -198,21 +143,18 @@ def bloch_temperature_scan(
     gammas = _axis(gamma_axis)
     phis = _axis(phi_axis)
 
-    vecs, sin_alpha = _all_blocks_arrays(coin.theta, coin.zeta, coin.xi, n)
-    fast = sin_alpha.min() > 1e-9
+    # a local state at node 0 has R_k = chi chi^dag / N in every sector, so rho_c
+    # is one real-linear map of chi chi^dag: take its images of the Pauli basis
+    image = pinched_sum(spectrum(n, *astuple(coin)), _PAULI[:, None] / (2 * n))
+    # the reference (pi, 0) rides along as point 0, computed like every other
+    g = np.concatenate([[math.pi], np.repeat(gammas, phis.size)])
+    p = np.concatenate([[0.0], np.tile(phis, gammas.size)])
+    chi = np.stack([np.cos(g / 2), np.exp(1j * p) * np.sin(g / 2)], axis=1)
+    coords = np.einsum("pc,mcd,pd->pm", chi.conj(), _PAULI, chi).real
+    rhos = np.einsum("pm,mab->pab", coords, image)
 
-    def rho_for(gamma: float, phi: float) -> NDArray[np.complex128]:
-        if fast:
-            chi = np.array([math.cos(gamma / 2), np.exp(1j * phi) * math.sin(gamma / 2)])
-            return _rho_c_fast(vecs, _local_sector_density(chi, n))
-        state = make_state(Bloch(gamma=gamma, phi=phi, j=0), n)
-        return asymptotic_reduced_density(state, coin)
-
-    t0 = _temperature_from_rho(rho_for(math.pi, 0.0), e0)
-    values = np.empty((gammas.size, phis.size))
-    for i, g in enumerate(gammas):
-        for j, p in enumerate(phis):
-            values[i, j] = temperature_ratio(_temperature_from_rho(rho_for(g, p), e0), t0)
+    t0, *temps = [entanglement_temperature(rho, e0=e0).temperature for rho in rhos]
+    values = np.array([temperature_ratio(t, t0) for t in temps]).reshape(gammas.size, phis.size)
     return ScanGrid(
         axis1_name="gamma",
         axis2_name="phi",
@@ -249,21 +191,13 @@ def coin_phase_temperature_scan(
     psis = momentum_spinors(state)  # (2, N); independent of the coin
     sector_density = np.einsum("ak,bk->kab", psis, np.conj(psis))
 
-    t0 = _temperature_from_rho(
-        asymptotic_reduced_density(state, hadamard_params()), e0
-    )
+    rho0 = asymptotic_reduced_density(state, hadamard_params())
+    t0 = entanglement_temperature(rho0, e0=e0).temperature
 
     values = np.empty((zetas.size, xis.size))
     for i, z in enumerate(zetas):
-        for j, x in enumerate(xis):
-            vecs, sin_alpha = _all_blocks_arrays(theta, z, x, n)
-            if sin_alpha.min() > 1e-9:
-                rho = _rho_c_fast(vecs, sector_density)
-            else:
-                rho = asymptotic_reduced_density(
-                    state, CoinParams(theta=theta, zeta=z, xi=x)
-                )
-            values[i, j] = temperature_ratio(_temperature_from_rho(rho, e0), t0)
+        for j, rho in enumerate(pinched_sum(spectrum(n, theta, z, xis), sector_density)):
+            values[i, j] = temperature_ratio(entanglement_temperature(rho, e0=e0).temperature, t0)
     return ScanGrid(
         axis1_name="zeta",
         axis2_name="xi",

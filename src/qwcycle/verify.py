@@ -11,8 +11,7 @@ from direct evolution over t_max steps.  A finite average converges to the
 asymptotic value like ~1/(t_max * gap), where gap is the smallest nonzero
 eigenphase separation; theta is sampled inside [0.1, 1.35] to keep the gap
 healthy (theta near 0 or pi/2 sends some gaps to zero, where no practical
-t_max resolves the limit -- at theta = pi/2 exactly, every block degenerates
-at once and the pairing model deliberately does not cover it).
+t_max resolves the limit).
 
 All (coin, state) instances of one N evolve simultaneously in a batched
 einsum loop; the arithmetic per instance is identical to the single-instance

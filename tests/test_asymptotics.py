@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwcycle.asymptotics import (
     asymptotic_reduced_density,
@@ -14,7 +16,13 @@ from qwcycle.asymptotics import (
 )
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
 from qwcycle.evolution import time_avg_distribution, time_avg_reduced_density
-from qwcycle.spectral import solve_all_blocks, solve_block
+from qwcycle.spectral import (
+    DEGENERACY_TOL,
+    degeneracy_table,
+    solve_all_blocks,
+    solve_block,
+    spectrum,
+)
 from qwcycle.state import Local, WalkState, make_state, momentum_spinors
 
 SWAP = np.array(
@@ -161,3 +169,113 @@ def test_initial_phase_invariance(rng):
     assert np.abs(
         asymptotic_reduced_density(state, coin) - asymptotic_reduced_density(phased, coin)
     ).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the array core against the per-block definitions and a dense eigensolver
+# ---------------------------------------------------------------------------
+
+def pair_sum_reference(state, coin):
+    """(pi, rho_c) from KBlocks, m_matrix / theta_matrix and the k + k' pairing."""
+    n = state.n_nodes
+    blocks = solve_all_blocks(coin, n)
+    psis = momentum_spinors(state)
+    rho = sum(theta_matrix(m_matrix(kb, kb), psis[:, kb.k], psis[:, kb.k]) for kb in blocks)
+    acc = np.zeros(n, dtype=complex)
+    for k, kp in degeneracy_table(coin, n).cross_pairs():
+        tr = np.trace(theta_matrix(m_matrix(blocks[k], blocks[kp]), psis[:, k], psis[:, kp]))
+        acc += np.exp(2j * math.pi * np.arange(n) * (k - kp) / n) * tr
+    return 1.0 / n + acc.real / n, rho
+
+
+def dense_reference(state, coin):
+    """(pi, rho_c) from the eigendecomposition of the whole 2N x 2N step unitary,
+    eigenvalues grouped when their phases chain within DEGENERACY_TOL."""
+    n = state.n_nodes
+    shift = np.zeros((2 * n, 2 * n))
+    for j in range(n):
+        shift[(j + 1) % n, j] = 1.0
+        shift[n + (j - 1) % n, n + j] = 1.0
+    vals, vecs = np.linalg.eig(shift @ np.kron(build_coin(coin), np.eye(n)))
+    phases = np.angle(vals)
+    gap = np.abs(np.angle(np.exp(1j * (phases[:, None] - phases[None, :]))))
+    label = np.arange(2 * n)
+    for _ in range(2 * n):  # connected components of "within tolerance"
+        label = np.where(gap <= DEGENERACY_TOL, label[None, :], 2 * n).min(axis=1)
+    probs, rho = np.zeros(n), np.zeros((2, 2), dtype=complex)
+    for g in set(label.tolist()):
+        basis, _ = np.linalg.qr(vecs[:, label == g])
+        proj = (basis @ (basis.conj().T @ state.amplitudes)).reshape(2, n)
+        probs += (np.abs(proj) ** 2).sum(axis=0)
+        rho += proj @ proj.conj().T
+    return probs, rho
+
+
+def test_core_matches_per_block_reference(rng):
+    for trial in range(40):
+        n = int(rng.integers(2, 17))
+        on_grid = trial % 2 == 0
+        if on_grid:
+            zeta = int(rng.integers(-n, n + 1)) * math.pi / n
+        else:
+            zeta = rng.uniform(-math.pi, math.pi)
+        coin = CoinParams(rng.uniform(0.1, 1.45), zeta, *rng.uniform(-math.pi, math.pi, size=2))
+        state = random_state(rng, n)
+        ld_ref, rho_ref = pair_sum_reference(state, coin)
+        assert np.abs(limiting_distribution(state, coin) - ld_ref).max() < 1e-13
+        assert np.abs(asymptotic_reduced_density(state, coin) - rho_ref).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [6, 7, 2048])
+def test_half_pi_local_walker_alternates(n):
+    # the coin swaps chirality, so the walker hops 0 -> N-1 -> 0 -> ...
+    ld = limiting_distribution(make_state(Local(0), n), CoinParams(math.pi / 2, 0.3, 0.7))
+    assert abs(ld[0] - 0.5) < 1e-12 and abs(ld[-1] - 0.5) < 1e-12
+    assert np.abs(ld[1:-1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_half_pi_matches_dense(rng, n):
+    coin = CoinParams(math.pi / 2, 0.3, 0.7)
+    state = random_state(rng, n)
+    ld_ref, rho_ref = dense_reference(state, coin)
+    assert np.abs(limiting_distribution(state, coin) - ld_ref).max() < 1e-10
+    assert np.abs(asymptotic_reduced_density(state, coin) - rho_ref).max() < 1e-10
+
+
+@given(
+    st.sampled_from([0.0, math.pi / 2]),
+    st.integers(min_value=2, max_value=16),
+    st.integers(min_value=-16, max_value=16),
+    st.sampled_from([0.0, 1e-12, -1e-12, 3e-13]),
+    st.floats(min_value=-3.1, max_value=3.1),
+    st.floats(min_value=-3.1, max_value=3.1),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_degenerate_families_match_dense(theta, n, m, dz, xi, eta, seed):
+    coin = CoinParams(theta, m * math.pi / n + dz, xi, eta)
+    state = random_state(np.random.default_rng(seed), n)
+    ld_ref, rho_ref = dense_reference(state, coin)
+    assert np.abs(limiting_distribution(state, coin) - ld_ref).max() < 1e-10
+    assert np.abs(asymptotic_reduced_density(state, coin) - rho_ref).max() < 1e-10
+
+
+def test_large_cycle_limiting_distribution(rng):
+    n = 2**17
+    coin = CoinParams(0.7, 2 * math.pi * 12345 / n, 0.4, 0.2)
+    state = random_state(rng, n)
+    ld = limiting_distribution(state, coin)
+    assert ld.shape == (n,) and ld.min() >= 0.0 and abs(ld.sum() - 1.0) < 1e-12
+    # reference pair sum: partners share their spectrum zone by zone, so
+    # tr Theta(k, k') = sum_i <p_k'^i | p_k^i> with p_k^i = <v_k^i|psi_k> v_k^i
+    pairs = np.array(degeneracy_table(coin, n).cross_pairs())
+    spec = spectrum(n, coin.theta, coin.zeta, coin.xi, coin.eta)
+    assert np.abs(spec.phases[pairs[:, 0]] - spec.phases[pairs[:, 1]]).max() < 1e-12
+    psis = momentum_spinors(state).T
+    parts = np.einsum("kbi,kb,kai->kia", spec.vectors.conj(), psis, spec.vectors)
+    tr = np.einsum("pia,pia->p", parts[pairs[:, 1]].conj(), parts[pairs[:, 0]])
+    nodes = rng.choice(n, size=16, replace=False)
+    phase = np.exp(2j * math.pi * np.outer(nodes, pairs[:, 0] - pairs[:, 1]) / n)
+    want = 1.0 / n + (phase @ tr).real / n
+    assert np.abs(ld[nodes] - want).max() < 1e-15

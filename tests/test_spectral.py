@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
 from qwcycle.spectral import (
+    DEGENERACY_TOL,
     block,
     degeneracy_table,
+    group_eigenphases,
     solve_all_blocks,
     solve_block,
+    spectrum,
 )
 
 angle = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)
@@ -33,12 +36,12 @@ def test_block_eigendecomposition(coin, n):
     """B_k v = lambda v must hold for both columns of every block.
 
     The bound is two-tier: away from scalar blocks the pair is good to 1e-9,
-    while for near-scalar blocks alpha = arccos(1 - tiny) amplifies rounding
-    like eps/sin(alpha), so only a ~sqrt(eps)-level residual is guaranteed.
+    while near-scalar blocks amplify the rounding of the eigenvector
+    construction like eps/sin(alpha).
     """
     for kb in solve_all_blocks(coin, n):
         b = block(kb.k, coin, n)
-        tol = 1e-9 if math.sin(kb.alpha) > 1e-6 else 5e-7
+        tol = 1e-9 if math.sin(kb.alpha) > 1e-6 else 1e-8
         for i in (0, 1):
             v = kb.vectors[:, i]
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
@@ -124,3 +127,68 @@ def test_degenerate_partners_share_spectrum():
         for i in (0, 1):
             gap = abs(blocks[k].eigenvalues[i] - blocks[kp].eigenvalues[i])
             assert gap < 1e-12
+
+
+@given(coin_strategy, st.integers(min_value=2, max_value=16))
+@settings(max_examples=60, deadline=None)
+def test_spectrum_matches_solve_block(coin, n):
+    spec = spectrum(n, coin.theta, coin.zeta, coin.xi, coin.eta)
+    for kb in solve_all_blocks(coin, n):
+        assert np.abs(np.exp(1j * spec.phases[kb.k]) - kb.eigenvalues).max() < 1e-14
+        assert spec.scalar[kb.k] == (2 * min(kb.alpha, math.pi - kb.alpha) <= DEGENERACY_TOL)
+        # near-scalar eigenvectors are pinned by their residual instead (below)
+        if math.sin(kb.alpha) > 1e-6:
+            assert np.abs(spec.vectors[kb.k] - kb.vectors).max() < 1e-12
+
+
+def test_spectrum_broadcasts_coin_axes():
+    xis = np.linspace(-3.0, 3.0, 4)
+    spec = spectrum(6, 0.7, np.array([[0.1], [0.2], [0.3]]), xis, 0.5)
+    assert spec.phases.shape == (3, 4, 6, 2)
+    assert spec.vectors.shape == (3, 4, 6, 2, 2)
+    one = spectrum(6, 0.7, 0.2, xis[2], 0.5)
+    assert np.abs(spec.vectors[1, 2] - one.vectors).max() < 1e-15
+    assert np.abs(spec.phases[1, 2] - one.phases).max() < 1e-15
+
+
+def test_near_scalar_blocks_are_accurate():
+    # theta within 1e-12..1e-3 of 0 or pi, zeta on or next to the 2 pi/N grid:
+    # blocks k = m and m + N/2 sit next to the scalar branch
+    n = 16
+    for base in (0.0, math.pi):
+        for offset in (1e-12, 1e-10, 1e-8, 1e-6, 1e-3):
+            for dz in (0.0, 1e-12, 1e-9):
+                coin = CoinParams(base - offset, 2 * math.pi * 3 / n + dz, 0.4, 0.3)
+                spec = spectrum(n, coin.theta, coin.zeta, coin.xi, coin.eta)
+                for k in range(n):
+                    b = block(k, coin, n)
+                    for i in (0, 1):
+                        v = spec.vectors[k, :, i]
+                        lam = np.exp(1j * spec.phases[k, i])
+                        assert np.abs(b @ v - lam * v).max() < 1e-8
+
+
+def test_group_eigenphases_chains_and_wraps():
+    tol = 1e-9
+    phases = np.array([0.1, 0.1 + 0.6 * tol, 0.1 + 1.2 * tol, 0.5, -math.pi, math.pi - 0.5 * tol])
+    labels = group_eigenphases(phases)
+    assert labels[0] == labels[1] == labels[2]  # chained, though 0 and 2 are 1.2 tol apart
+    assert labels[4] == labels[5]  # joined across the wrap at +/- pi
+    assert len({labels[0], labels[3], labels[4]}) == 3
+
+
+def test_grouping_matches_degeneracy_table():
+    # away from theta = pi/2 the groups are the k + k' = N zeta / pi pairs
+    cases = [(hadamard_params(), 6), (hadamard_params(), 8)]
+    cases.append((CoinParams(0.9, 0.2 * math.pi, -0.4, 0.8), 10))
+    for coin, n in cases:
+        labels = group_eigenphases(spectrum(n, coin.theta, coin.zeta, coin.xi, coin.eta).phases)
+        for k, kp in degeneracy_table(coin, n).pairs.items():
+            assert (labels[k] == labels[kp]).all()
+        assert np.bincount(labels.reshape(-1)).max() == 2
+
+
+def test_half_pi_groups_every_block():
+    labels = group_eigenphases(spectrum(7, math.pi / 2, 0.3, 0.7).phases)
+    assert (labels[:, 0] == labels[0, 0]).all() and (labels[:, 1] == labels[0, 1]).all()
+    assert labels[0, 0] != labels[0, 1]

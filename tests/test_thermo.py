@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from qwcycle.coin import CoinParams, hadamard_params
 from qwcycle.asymptotics import asymptotic_reduced_density
-from qwcycle.state import Bloch, Local, WalkState, make_state, momentum_spinors
+from qwcycle.state import Bloch, Local, WalkState, make_state
 from qwcycle.thermo import (
-    _all_blocks_arrays,
-    _rho_c_fast,
     bloch_temperature_scan,
     coin_phase_temperature_scan,
     entanglement_temperature,
@@ -65,24 +63,39 @@ def test_ratio_semantics():
     assert temperature_ratio(3.0, 2.0) == 1.5
 
 
-def test_fast_rho_matches_general_path(rng):
-    for _ in range(8):
-        n = int(rng.integers(4, 20))
-        coin = CoinParams(
-            theta=rng.uniform(0.2, 1.3),
-            zeta=rng.uniform(-math.pi, math.pi),
-            xi=rng.uniform(-math.pi, math.pi),
-        )
-        vecs, sin_alpha = _all_blocks_arrays(coin.theta, coin.zeta, coin.xi, n)
-        if sin_alpha.min() <= 1e-9:
-            continue
-        z = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-        state = WalkState.from_grid(z / np.linalg.norm(z))
-        psis = momentum_spinors(state)
-        sector = np.einsum("ak,bk->kab", psis, np.conj(psis))
-        fast = _rho_c_fast(vecs, sector)
-        general = asymptotic_reduced_density(state, coin)
-        assert np.abs(fast - general).max() < 1e-13
+def _temperature(state, coin):
+    return entanglement_temperature(asymptotic_reduced_density(state, coin)).temperature
+
+
+def _assert_close(got, want):
+    assert got == want or abs(got - want) <= 1e-13 * max(1.0, abs(want)), (got, want)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.45, 1.1])
+def test_scans_match_per_point_density(rng, theta):
+    # every grid point of both scans, and T0, against per-point
+    # asymptotic_reduced_density; at theta = 0, zeta on the 2 pi/N grid puts
+    # scalar blocks on the k-axis
+    n = 8
+    coin = CoinParams(theta, 2 * math.pi * 3 / n, rng.uniform(-math.pi, math.pi), 0.4)
+    bloch = bloch_temperature_scan(coin, n, (0.0, math.pi, 5), (0.0, 2 * math.pi, 6))
+    t0 = _temperature(make_state(Bloch(math.pi, 0.0), n), coin)
+    _assert_close(bloch.reference_temperature, t0)
+    for i, g in enumerate(bloch.axis1):
+        for j, p in enumerate(bloch.axis2):
+            t = _temperature(make_state(Bloch(g, p), n), coin)
+            _assert_close(bloch.values[i, j], temperature_ratio(t, t0))
+
+    z = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    state = WalkState.from_grid(z / np.linalg.norm(z))
+    axes = (-math.pi, math.pi, 5), (-math.pi, math.pi, 6)
+    phases = coin_phase_temperature_scan(theta, state, n, *axes)
+    t0 = _temperature(state, hadamard_params())
+    _assert_close(phases.reference_temperature, t0)
+    for i, zeta in enumerate(phases.axis1):
+        for j, xi in enumerate(phases.axis2):
+            t = _temperature(state, CoinParams(theta, zeta, xi))
+            _assert_close(phases.values[i, j], temperature_ratio(t, t0))
 
 
 def test_bloch_scan_reference_point_is_one():
