@@ -125,39 +125,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser,need_n: bool = True) -> None:
-        p.add_argument("-N", "--nodes", type=int, required=need_n, help="cycle size N")
+    def walk_parser(name: str, help: str) -> argparse.ArgumentParser:
+        # the flags of the four subcommands that run one walk
+        p = sub.add_parser(name, help=help)
+        p.add_argument("-N", "--nodes", type=int, required=True, help="cycle size N")
         p.add_argument("--coin", default="hadamard", help="hadamard | diaz:T | u2:T,Z,X[,E]")
         p.add_argument("--init", default="local:0", help="initial-state spec (see README)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--e0", type=float, default=1.0, help="energy scale E0")
-        p.add_argument("--tmax", type=float, default=2e5, help="averaging steps")
+        return p
 
-    p_ld = sub.add_parser("ld", help="closed-form limiting distribution")
-    common(p_ld)
+    walk_parser("ld", "closed-form limiting distribution")
+    walk_parser("rdcm", "closed-form asymptotic reduced coin density")
 
-    p_rdcm = sub.add_parser("rdcm", help="closed-form asymptotic reduced coin density")
-    common(p_rdcm)
-
-    p_sim = sub.add_parser("simulate", help="brute-force time averages")
-    common(p_sim)
+    p_sim = walk_parser("simulate", "brute-force time averages")
+    p_sim.add_argument("--tmax", type=float, default=2e5, help="averaging steps")
     p_sim.add_argument(
         "--reduce",
         action="store_true",
         help="emit the time-averaged reduced coin density instead of the distribution",
     )
 
-    p_temp = sub.add_parser("temp", help="temperature-ratio scans")
-    common(p_temp)
+    p_temp = walk_parser("temp", "temperature-ratio scans")
+    p_temp.add_argument("--e0", type=float, default=1.0, help="energy scale E0")
     p_temp.add_argument("--scan", choices=("bloch", "phases"), default="bloch")
     p_temp.add_argument("--theta", default="pi/4", help="coin angle for --scan phases")
     p_temp.add_argument("--axis1", type=_axis_arg, default=None, help="START:STOP:NUM")
     p_temp.add_argument("--axis2", type=_axis_arg, default=None, help="START:STOP:NUM")
 
     p_ver = sub.add_parser("verify", help="randomized oracle-vs-closed-form sweep")
-    common(p_ver, need_n=False)
+    p_ver.add_argument("--out", default=None, help="output path (default: stdout)")
+    p_ver.add_argument("--seed", type=int, default=7)
+    p_ver.add_argument("--tmax", type=float, default=2e5, help="averaging steps")
     p_ver.add_argument("--n-min", type=int, default=3)
     p_ver.add_argument("--n-max", type=int, default=12)
     p_ver.add_argument("--coins", type=int, default=20, help="coins per cycle size")

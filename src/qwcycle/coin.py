@@ -32,11 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoinParams:
-    """Angles of a U(2) coin, canonicalized into [-pi, pi) on construction.
-
-    Frozen and hashable so parameter sets can key caches of derived
-    spectral data.
-    """
+    """Angles of a U(2) coin, canonicalized into [-pi, pi) on construction."""
 
     theta: float
     zeta: float

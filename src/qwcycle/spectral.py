@@ -32,7 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -163,7 +162,6 @@ def solve_block(k: int, coin: CoinParams, n_nodes: int) -> KBlock:
                 _eigvec(a, b, c, d, cmath.exp(-1j * alpha)),
             ]
         )
-    vectors.flags.writeable = False  # KBlocks are shared via the cache below
     return KBlock(
         k=k,
         n_nodes=n_nodes,
@@ -174,9 +172,8 @@ def solve_block(k: int, coin: CoinParams, n_nodes: int) -> KBlock:
     )
 
 
-@lru_cache(maxsize=64)
 def solve_all_blocks(coin: CoinParams, n_nodes: int) -> tuple[KBlock, ...]:
-    """All N blocks of a coin, cached on (coin, N)."""
+    """All N blocks of a coin."""
     return tuple(solve_block(k, coin, n_nodes) for k in range(n_nodes))
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "InitialStateSpec",
     "make_state",
     "parse_state",
-    "project_initial",
     "momentum_spinors",
 ]
 
@@ -220,9 +219,3 @@ def momentum_spinors(state: WalkState) -> NDArray[np.complex128]:
     n = state.n_nodes
     return np.fft.fft(state.as_grid(), axis=1) / math.sqrt(n)
 
-
-def project_initial(state: WalkState, k: int) -> NDArray[np.complex128]:
-    """Coin spinor of the momentum-k sector of ``state`` (see momentum_spinors)."""
-    if not 0 <= k < state.n_nodes:
-        raise ValueError(f"k={k} out of range for N={state.n_nodes}")
-    return momentum_spinors(state)[:, k].copy()

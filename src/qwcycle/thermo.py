@@ -140,6 +140,8 @@ def bloch_temperature_scan(
     T0 is the temperature of the (gamma=pi, phi=0) state under the same coin.
     """
     n = int(n_nodes)
+    if n < 2:
+        raise ValueError(f"n_nodes must be an integer >= 2, got {n_nodes!r}")
     gammas = _axis(gamma_axis)
     phis = _axis(phi_axis)
 

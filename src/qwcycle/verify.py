@@ -13,9 +13,10 @@ eigenphase separation; theta is sampled inside [0.1, 1.35] to keep the gap
 healthy (theta near 0 or pi/2 sends some gaps to zero, where no practical
 t_max resolves the limit).
 
-All (coin, state) instances of one N evolve simultaneously in a batched
-einsum loop; the arithmetic per instance is identical to the single-instance
-oracle ops (pinned by unit test), so a passing sweep certifies those ops.
+All (coin, state) instances of one N evolve together through
+``evolution._window_sums``, the same loop behind ``time_avg_distribution``
+and ``time_avg_reduced_density``; a unit test pins it to the literal 2N x 2N
+average ``time_avg_density``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from numpy.typing import NDArray
 
 from .asymptotics import asymptotic_reduced_density, limiting_distribution
 from .coin import CoinParams, build_coin
+from .evolution import _window_sums
 from .state import WalkState
 
 __all__ = ["VerifyConfig", "CaseResult", "VerifyReport", "sample_coins", "run_verification"]
@@ -44,6 +46,15 @@ class VerifyConfig:
     t_max: int = 200_000
     tolerance: float = 1e-2
     seed: int = 7
+
+    def __post_init__(self) -> None:
+        if not self.n_values or min(self.n_values) < 2:
+            raise ValueError(f"n_values must be cycle sizes >= 2, got {self.n_values!r}")
+        if self.coins_per_n < 1 or self.states_per_coin < 1:
+            raise ValueError(
+                f"need >= 1 coin per N and state per coin, got {self.coins_per_n} "
+                f"and {self.states_per_coin}"
+            )
 
 
 @dataclass(frozen=True)
@@ -136,58 +147,31 @@ def _random_states(rng: np.random.Generator, n_nodes: int, count: int) -> NDArra
     return z
 
 
-def _batched_time_averages(
-    coins: NDArray[np.complex128],  # (X, 2, 2); instance x uses coins[x]
-    grids: NDArray[np.complex128],  # (X, 2, N)
-    t_max: int,
-) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
-    """Evolve all instances together; per-instance arithmetic matches the
-    single-instance oracle ops exactly.  Returns (avg dist (X, N), avg rho_c (X, 2, 2))."""
-    grids = grids.copy()
-    dist_acc = np.zeros((grids.shape[0], grids.shape[2]))  # (X, N)
-    rho_acc = np.zeros((grids.shape[0], 2, 2), dtype=np.complex128)
-    for _ in range(t_max):
-        grids = np.einsum("xab,xbn->xan", coins, grids)
-        grids[:, 0, :] = np.roll(grids[:, 0, :], 1, axis=1)
-        grids[:, 1, :] = np.roll(grids[:, 1, :], -1, axis=1)
-        dist_acc += (grids.real**2 + grids.imag**2).sum(axis=1)
-        rho_acc += np.einsum("xan,xbn->xab", grids, np.conj(grids))
-    return dist_acc / t_max, rho_acc / t_max
-
-
 def run_verification(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
     """Run the full sweep and report per-N worst deviations."""
     rng = np.random.default_rng(config.seed)
     cases = []
     for n in config.n_values:
         coins = sample_coins(rng, n, config.coins_per_n)
-        coin_mats = []
-        grids = []
-        owners = []  # instance -> coin index
-        for ci, coin in enumerate(coins):
-            mat = build_coin(coin)
-            states = _random_states(rng, n, config.states_per_coin)
-            for s in states:
-                coin_mats.append(mat)
-                grids.append(s)
-                owners.append(ci)
-        avg_dist, avg_rho = _batched_time_averages(
-            np.array(coin_mats), np.array(grids), config.t_max
-        )
+        k = config.states_per_coin
+        grids = np.concatenate([_random_states(rng, n, k) for _ in coins])
+        mats = np.repeat([build_coin(c) for c in coins], k, axis=0)
+        avg_dist, avg_rho = _window_sums(mats, grids, config.t_max)
 
         max_ld, max_rho, max_defect = 0.0, 0.0, 0.0
         worst_ld_coin = worst_rho_coin = coins[0]
-        for x, ci in enumerate(owners):
-            state = WalkState.from_grid(grids[x])
-            ld = limiting_distribution(state, coins[ci])
-            rho = asymptotic_reduced_density(state, coins[ci])
+        for x, grid in enumerate(grids):
+            coin = coins[x // k]
+            state = WalkState.from_grid(grid)
+            ld = limiting_distribution(state, coin)
+            rho = asymptotic_reduced_density(state, coin)
             ld_dev = float(np.abs(ld - avg_dist[x]).max())
             rho_dev = float(np.abs(rho - avg_rho[x]).max())
             max_defect = max(max_defect, _density_defect(rho), _density_defect(avg_rho[x]))
             if ld_dev > max_ld:
-                max_ld, worst_ld_coin = ld_dev, coins[ci]
+                max_ld, worst_ld_coin = ld_dev, coin
             if rho_dev > max_rho:
-                max_rho, worst_rho_coin = rho_dev, coins[ci]
+                max_rho, worst_rho_coin = rho_dev, coin
         cases.append(
             CaseResult(
                 n_nodes=n,

@@ -178,6 +178,13 @@ def test_verify_pass_and_fail_exit_codes(capsys):
         ["simulate", "-N", "4", "--tmax", "0"],
         ["temp", "-N", "6", "--axis1", "0:pi"],
         ["ld"],
+        ["verify", "--n-min", "3", "--n-max", "3", "--coins", "2", "--states", "1", "--tmax", "0"],
+        ["verify", "--n-min", "3", "--n-max", "3", "--coins", "0"],
+        ["verify", "--n-min", "5", "--n-max", "3"],
+        ["temp", "-N", "0", "--axis1=0:pi:2", "--axis2=0:pi:2"],
+        ["temp", "-N", "1", "--axis1=0:pi:2", "--axis2=0:pi:2"],
+        ["ld", "-N", "6", "--seed", "3"],
+        ["verify", "--format", "json"],
     ],
 )
 def test_invalid_configuration_exits_2(args, capsys):

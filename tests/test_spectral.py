@@ -76,17 +76,6 @@ def test_eigenvectors_orthogonal_for_generic_block():
     assert abs(dot) < 1e-12
 
 
-def test_blocks_are_cached():
-    coin = CoinParams(0.5, 0.1, 0.2)
-    assert solve_all_blocks(coin, 6) is solve_all_blocks(coin, 6)
-
-
-def test_cached_vectors_are_read_only():
-    kb = solve_all_blocks(CoinParams(0.5, 0.1, 0.2), 6)[1]
-    with pytest.raises(ValueError):
-        kb.vectors[0, 0] = 0.0
-
-
 def test_hadamard_degeneracy_even_cycle():
     table = degeneracy_table(hadamard_params(), 6)
     # zeta = pi/2: partners satisfy k + k' = 3 (mod 6)

@@ -15,7 +15,6 @@ from qwcycle.state import (
     make_state,
     momentum_spinors,
     parse_state,
-    project_initial,
 )
 
 
@@ -143,11 +142,3 @@ def test_momentum_spinors_conventions(rng):
     phases = np.exp(-2j * math.pi * np.arange(n) / n)
     assert np.abs(psis[:, 1] - (z * phases).sum(axis=1) / math.sqrt(n)).max() < 1e-12
 
-
-def test_project_initial_matches_columns(rng):
-    s = make_state(EntangledPair(3), 8)
-    psis = momentum_spinors(s)
-    for k in range(8):
-        assert np.array_equal(project_initial(s, k), psis[:, k])
-    with pytest.raises(ValueError):
-        project_initial(s, 8)

@@ -3,15 +3,9 @@ import math
 import numpy as np
 
 from qwcycle.coin import build_coin
-from qwcycle.evolution import time_avg_distribution, time_avg_reduced_density
+from qwcycle.evolution import _window_sums, reduce_to_coin, time_avg_density
 from qwcycle.state import WalkState
-from qwcycle.verify import (
-    THETA_RANGE,
-    VerifyConfig,
-    _batched_time_averages,
-    run_verification,
-    sample_coins,
-)
+from qwcycle.verify import THETA_RANGE, VerifyConfig, run_verification, sample_coins
 
 TINY = VerifyConfig(n_values=(3, 4), coins_per_n=4, states_per_coin=2, t_max=5_000, seed=11)
 
@@ -27,19 +21,21 @@ def test_sampled_coins_hit_the_degeneracy_grid(rng):
             assert abs(m - round(m)) < 1e-9
 
 
-def test_batched_loop_matches_single_instance_oracle(rng):
-    """The sweep's batched einsum must do the same arithmetic as the oracle."""
-    n, t = 5, 400
-    coins = sample_coins(rng, n, 3)
+def test_batched_window_sums_match_density_reference(rng):
+    """The batched kernel, pinned per instance to the literal np.roll 2N x 2N average."""
+    n, t, count = 5, 400, 4
+    coins = sample_coins(rng, n, count)
     mats = np.array([build_coin(c) for c in coins])
-    z = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
-    z /= np.linalg.norm(z.reshape(3, -1), axis=1)[:, None, None]
+    z = rng.standard_normal((count, 2, n)) + 1j * rng.standard_normal((count, 2, n))
+    z /= np.linalg.norm(z.reshape(count, -1), axis=1)[:, None, None]
 
-    dist, rho = _batched_time_averages(mats, z, t)
-    for x in range(3):
-        state = WalkState.from_grid(z[x])
-        assert np.abs(dist[x] - time_avg_distribution(state, mats[x], t)).max() < 1e-12
-        assert np.abs(rho[x] - time_avg_reduced_density(state, mats[x], t)).max() < 1e-12
+    dist, rho = _window_sums(mats, z, t)
+    assert dist.shape == (count, n) and rho.shape == (count, 2, 2)
+    for x in range(count):
+        full = time_avg_density(WalkState.from_grid(z[x]), mats[x], t)
+        node_marginal = np.einsum("sjsj->j", full.reshape(2, n, 2, n)).real
+        assert np.abs(dist[x] - node_marginal).max() < 1e-13
+        assert np.abs(rho[x] - reduce_to_coin(full)).max() < 1e-13
 
 
 def test_small_sweep_passes():
