@@ -31,7 +31,8 @@ def parse_angle(token: str) -> float:
 
     Accepted pi forms: ``pi``, ``-pi``, ``pi/2``, ``3pi/4``, ``0.5pi``.
     Rational-of-pi input keeps x/pi exact to ~1e-16, which is what makes
-    the degeneracy integrality test decidable downstream.
+    the degeneracy integrality test decidable downstream.  Non-finite values
+    (``nan``, ``inf``, overflowing literals) are rejected.
     """
     m = _PI_TOKEN.match(token)
     if m:
@@ -40,8 +41,12 @@ def parse_angle(token: str) -> float:
         if den == 0.0:
             raise ValueError(f"zero denominator in angle token {token!r}")
         val = coef * math.pi / den
-        return -val if m.group("sign") == "-" else val
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"cannot parse angle token {token!r}") from None
+        val = -val if m.group("sign") == "-" else val
+    else:
+        try:
+            val = float(token)
+        except ValueError:
+            raise ValueError(f"cannot parse angle token {token!r}") from None
+    if not math.isfinite(val):
+        raise ValueError(f"angle must be finite, got {token!r}")
+    return val

@@ -25,8 +25,9 @@ projectors -- plus the zone-crossing terms when the block is scalar, in which
 case M is the SWAP matrix and Theta(k,k) = |psi_k><psi_k| passes through the
 average untouched (a degenerate block has nothing to dephase).
 
-The closed forms below evaluate the same sums on the arrays of
-``spectral.spectrum``; M and Theta stay as the reference definitions.
+The closed forms below, and the temperature scans, evaluate the same sums on
+the arrays of ``spectral.spectrum`` through one projection, ``_sector_parts``
+(p_k^i = <v_k^i|psi_k> v_k^i); M and Theta stay as the reference definitions.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "m_matrix",
     "m_kk_closed_form",
     "theta_matrix",
-    "pinched_sum",
     "asymptotic_reduced_density",
     "limiting_distribution",
     "hadamard_local_ld",
@@ -121,15 +121,22 @@ def theta_matrix(
     return np.einsum("bf,afcb->ac", r, m.reshape(2, 2, 2, 2))
 
 
-def pinched_sum(spec: Spectrum, sector: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """sum_k of the sector densities R_k (..., N, 2, 2), each pinched onto its
-    block's eigenbasis, sum_i <v|R_k|v> |v><v| (whole where the block is scalar);
-    by Parseval only the grouping within a block matters for this sum."""
+def _sector_parts(spec: Spectrum, psis: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """The eigenvector projections p_k^i = <v_k^i|psi_k> v_k^i of sector spinors
+    psis (..., N, 2), shaped (..., N, zone, comp).  A scalar block has nothing
+    to dephase: it keeps psi_k whole in zone 0 and holds 0 in zone 1."""
     v = spec.vectors
-    weights = np.einsum("...kai,...kab,...kbi->...ki", v.conj(), sector, v).real
-    pinched = np.einsum("...ki,...kai,...kbi->...kab", weights, v, v.conj())
-    rho = np.where(spec.scalar[..., None, None], sector, pinched).sum(axis=-3)
-    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))  # scrub antisymmetric float dust
+    coef = np.einsum("...kbi,...kb->...ki", v.conj(), psis)
+    parts = coef[..., None] * v.swapaxes(-1, -2)
+    whole = np.stack([psis, np.zeros_like(psis)], axis=-2)
+    return np.where(spec.scalar[..., None, None], whole, parts)
+
+
+def _coin_density(spec: Spectrum, psis: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """rho_c = sum_{k,i} p_k^i p_k^i^dag (..., 2, 2): by Parseval the trace over
+    position keeps only the terms within one block and one zone."""
+    parts = _sector_parts(spec, psis)
+    return np.einsum("...kia,...kib->...ab", parts, parts.conj())
 
 
 def asymptotic_reduced_density(
@@ -139,8 +146,7 @@ def asymptotic_reduced_density(
     n = state0.n_nodes if n_nodes is None else int(n_nodes)
     if n != state0.n_nodes:
         raise ValueError(f"state lives on N={state0.n_nodes}, not N={n}")
-    psis = momentum_spinors(state0)
-    rho = pinched_sum(spectrum(n, *astuple(coin)), np.einsum("ak,bk->kab", psis, psis.conj()))
+    rho = _coin_density(spectrum(n, *astuple(coin)), momentum_spinors(state0).T)
     check_reduced_density(rho)
     return rho
 
@@ -151,25 +157,20 @@ def limiting_distribution(
     """Infinite-time-averaged node distribution pi(v) = sum_g |P_g psi (v)|^2.
 
     P_g projects onto one group of coinciding eigenphases: each (k, zone) adds
-    p_k^i, or psi_k whole where both zones of block k share a group.  Groups
-    of one add uniformly, the cross terms of all groups of two go through one
-    inverse FFT, and larger groups (all N blocks at theta = pi/2) one each.
-    Exactly uniform when no group spans two blocks.  Negative entries above
-    -1e-12 (float dust) are clipped and the vector renormalized.
+    its part from ``_sector_parts``.  Groups of one add uniformly, the cross
+    terms of all groups of two go through one inverse FFT, and larger groups
+    (all N blocks at theta = pi/2) one each.  Exactly uniform when no group
+    spans two blocks.  Negative entries above -1e-12 (float dust) are clipped
+    and the vector renormalized.
     """
     n = state0.n_nodes if n_nodes is None else int(n_nodes)
     if n != state0.n_nodes:
         raise ValueError(f"state lives on N={state0.n_nodes}, not N={n}")
     spec = spectrum(n, *astuple(coin))
-    labels = group_eigenphases(spec.phases)
-    psis = momentum_spinors(state0).T  # (N, 2)
-    coef = np.einsum("kbi,kb->ki", spec.vectors.conj(), psis)  # <v_k^i|psi_k>
-    parts = np.einsum("ki,kai->kia", coef, spec.vectors)  # p_k^i
-    whole = labels[:, 0] == labels[:, 1]
-    parts[whole, 0] = psis[whole]
-    keep = np.stack([np.ones(n, dtype=bool), ~whole], axis=1)
+    keep = np.stack([np.ones(n, dtype=bool), ~spec.scalar], axis=1)  # scalar: zone 1 holds 0
     ks = np.nonzero(keep)[0]
-    labels, parts = labels[keep], parts[keep]
+    labels = group_eigenphases(spec.phases)[keep]
+    parts = _sector_parts(spec, momentum_spinors(state0).T)[keep]
     size = np.bincount(labels)[labels]
     if size.max() == 1:
         return np.full(n, 1.0 / n)
@@ -182,9 +183,9 @@ def limiting_distribution(
     cross = np.bincount(shift, inner.real, n) + 1j * np.bincount(shift, inner.imag, n)
     probs += 2.0 * np.fft.ifft(cross).real
     for g in np.flatnonzero(np.bincount(labels) > 2):
-        amps = np.zeros((2, n), dtype=np.complex128)
-        amps[:, ks[labels == g]] = parts[labels == g].T
-        probs += n * (np.abs(np.fft.ifft(amps, axis=1)) ** 2).sum(axis=0)
+        amps = np.zeros((n, 2), dtype=np.complex128)
+        np.add.at(amps, ks[labels == g], parts[labels == g])
+        probs += n * (np.abs(np.fft.ifft(amps, axis=0)) ** 2).sum(axis=1)
 
     probs[(probs < 0) & (probs > -1e-12)] = 0.0
     probs /= probs.sum()

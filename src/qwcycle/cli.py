@@ -118,6 +118,13 @@ def _axis_arg(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _steps_arg(text: str) -> int:
+    value = float(text)  # accepts 2e5
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"step count must be a whole number, got {text!r}")
+    return int(value)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwcycle",
@@ -139,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     walk_parser("rdcm", "closed-form asymptotic reduced coin density")
 
     p_sim = walk_parser("simulate", "brute-force time averages")
-    p_sim.add_argument("--tmax", type=float, default=2e5, help="averaging steps")
+    p_sim.add_argument("--tmax", type=_steps_arg, default=200_000, help="averaging steps")
     p_sim.add_argument(
         "--reduce",
         action="store_true",
@@ -156,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="randomized oracle-vs-closed-form sweep")
     p_ver.add_argument("--out", default=None, help="output path (default: stdout)")
     p_ver.add_argument("--seed", type=int, default=7)
-    p_ver.add_argument("--tmax", type=float, default=2e5, help="averaging steps")
+    p_ver.add_argument("--tmax", type=_steps_arg, default=200_000, help="averaging steps")
     p_ver.add_argument("--n-min", type=int, default=3)
     p_ver.add_argument("--n-max", type=int, default=12)
     p_ver.add_argument("--coins", type=int, default=20, help="coins per cycle size")
@@ -195,11 +202,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "simulate":
         coin = build_coin(parse_coin(args.coin))
         state = make_state(parse_state(args.init), args.nodes)
-        t_max = int(args.tmax)
         if args.reduce:
-            _emit_matrix(time_avg_reduced_density(state, coin, t_max), args)
+            _emit_matrix(time_avg_reduced_density(state, coin, args.tmax), args)
         else:
-            _emit_distribution(time_avg_distribution(state, coin, t_max), args)
+            _emit_distribution(time_avg_distribution(state, coin, args.tmax), args)
         return 0
 
     if args.command == "temp":
@@ -228,7 +234,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             n_values=tuple(range(args.n_min, args.n_max + 1)),
             coins_per_n=args.coins,
             states_per_coin=args.states,
-            t_max=int(args.tmax),
+            t_max=args.tmax,
             tolerance=args.tol,
             seed=args.seed,
         )

@@ -76,9 +76,15 @@ def evolve(state0: WalkState, coin: NDArray[np.complex128], t: int) -> WalkState
     for _ in range(int(t)):
         grid = _step_grid(grid, coin)
     norm = np.linalg.norm(grid)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"evolution lost unitarity: |norm - 1| = {abs(norm - 1.0):.3e}")
     return WalkState.from_grid(grid / norm)
+
+
+def _check_window(t_max: float) -> None:
+    # the averages divide by t_max, so it must count the steps exactly
+    if not (float(t_max).is_integer() and t_max >= 1):
+        raise ValueError(f"t_max must be a whole number of steps >= 1, got {t_max}")
 
 
 def time_avg_density(
@@ -86,8 +92,7 @@ def time_avg_density(
 ) -> NDArray[np.complex128]:
     """(1/t_max) sum_{t=1..t_max} |psi(t)><psi(t)|, streamed (never stores the
     trajectory).  2N x 2N, Hermitian, trace 1."""
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    _check_window(t_max)
     grid = state0.as_grid().copy()
     acc = np.zeros((2 * state0.n_nodes,) * 2, dtype=np.complex128)
     for _ in range(int(t_max)):
@@ -108,8 +113,7 @@ def _window_sums(
     (X, 2, 2).  Per step it accumulates |a_{s,j}|^2 and a_{0,j} conj(a_{1,j});
     rho_c is assembled from them once, so it is Hermitian by construction.
     """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    _check_window(t_max)
     x, _, n = grids.shape
     # the shift as one gather on the coin-major (X, 2N) view: new[s, j] takes
     # old[s, j - 1] for s = 0 and old[s, j + 1] for s = 1, as apply_shift does
@@ -171,13 +175,24 @@ def reduce_to_coin(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
 # invariant checks shared by oracle outputs and CLI writers
 # ---------------------------------------------------------------------------
 
+def _density_residuals(rho: NDArray[np.complex128]) -> tuple[float, float, float]:
+    """How far a square matrix is from a density matrix: the Hermiticity
+    residual, |trace - 1| and the depth of its lowest eigenvalue below 0.
+    A NaN entry makes the first two NaN, which no ``<= tol`` test passes."""
+    herm = float(np.abs(rho - rho.conj().T).max())
+    trace = float(abs(np.trace(rho) - 1.0))
+    lowest = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
+    return herm, trace, float(max(0.0, -lowest))
+
+
 def check_density(rho: NDArray[np.complex128], tol: float = 1e-10) -> None:
     """Raise unless rho is Hermitian, trace-1, and PSD within ``tol``."""
-    if np.abs(rho - rho.conj().T).max() > tol:
+    herm, trace, negative = _density_residuals(rho)
+    if not herm <= tol:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if not trace <= tol:
         raise ValueError("density matrix trace differs from 1 beyond tolerance")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if not negative <= tol:
         raise ValueError("density matrix has an eigenvalue below -tolerance")
 
 
@@ -192,7 +207,7 @@ def check_reduced_density(rho_c: NDArray[np.complex128], tol: float = 1e-10) -> 
 def check_distribution(probs: NDArray[np.float64], tol: float = 1e-10) -> None:
     """Raise unless probs is a probability vector (entries >= -1e-12, sum 1)."""
     probs = np.asarray(probs)
-    if probs.min() < -1e-12:
+    if not probs.min() >= -1e-12:
         raise ValueError("distribution has a negative entry beyond -1e-12")
-    if abs(probs.sum() - 1.0) > tol:
+    if not abs(probs.sum() - 1.0) <= tol:
         raise ValueError("distribution does not sum to 1 within tolerance")

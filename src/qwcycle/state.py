@@ -49,7 +49,7 @@ class WalkState:
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amps.shape != (2 * n,):
             raise ValueError(f"amplitudes must have length {2 * n}, got {amps.shape}")
-        if abs(amps @ amps.conj() - 1.0) > _NORM_TOL:
+        if not abs(amps @ amps.conj() - 1.0) <= _NORM_TOL:
             raise ValueError("state is not normalized to within 1e-12")
         object.__setattr__(self, "amplitudes", amps)
 

@@ -19,8 +19,9 @@ Two scan drivers map the temperature landscape:
     under the Hadamard coin (the scan measures what the extra phases do, so
     its natural baseline is the phase choice the Hadamard coin makes).
 
-Both scans use ``asymptotics.pinched_sum`` on ``spectral.spectrum``: one
-spectrum per zeta row for the phase scan, one in all for the Bloch scan.
+Both scans project onto ``spectral.spectrum`` through the one projection the
+closed forms use, ``asymptotics._sector_parts``: one spectrum per zeta row for
+the phase scan, one in all for the Bloch scan, and temperatures as arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .asymptotics import asymptotic_reduced_density, pinched_sum
+from .asymptotics import _coin_density, asymptotic_reduced_density
 from .coin import CoinParams, hadamard_params
 from .spectral import spectrum
 from .state import InitialStateSpec, WalkState, make_state, momentum_spinors
@@ -50,8 +51,8 @@ __all__ = [
 _MIXED_GAP_TOL = 1e-13
 # lambda2 at or below this means "pure": T = 0.
 _PURE_TOL = 1e-14
-# identity and Pauli matrices: a real basis of the Hermitian 2x2 matrices
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# |0>, |1>, |+>, |+i>: their projectors are a real basis of the Hermitian 2x2 matrices
+_BASIS = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]]) / np.sqrt([1, 1, 2, 2])[:, None]
 
 
 @dataclass(frozen=True)
@@ -64,45 +65,39 @@ class TemperatureResult:
     ratio_to_reference: float | None = None
 
 
-def _eigvals_2x2_hermitian(rho: NDArray[np.complex128]) -> tuple[float, float]:
-    # closed form: mean +/- radius; exact and cheap inside large scans
-    mean = 0.5 * (rho[0, 0].real + rho[1, 1].real)
-    radius = math.hypot(0.5 * (rho[0, 0].real - rho[1, 1].real), abs(rho[0, 1]))
-    return mean + radius, mean - radius
+def _temperatures(rho: NDArray[np.complex128], e0: float) -> tuple[NDArray[np.float64], ...]:
+    """lambda1 >= lambda2 and T = 2 e0 / ln(lambda1/lambda2) of Hermitian 2x2
+    matrices (..., 2, 2), from the closed form mean +/- radius."""
+    if not (math.isfinite(e0) and e0 > 0):
+        raise ValueError(f"e0 must be finite and positive, got {e0}")
+    mean = 0.5 * (rho[..., 0, 0].real + rho[..., 1, 1].real)
+    radius = np.hypot(0.5 * (rho[..., 0, 0].real - rho[..., 1, 1].real), np.abs(rho[..., 0, 1]))
+    l1, l2 = mean + radius, np.maximum(mean - radius, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        temp = 2.0 * e0 / np.log(l1 / l2)
+    return l1, l2, np.select([l1 - l2 <= _MIXED_GAP_TOL, l2 <= _PURE_TOL], [math.inf, 0.0], temp)
 
 
 def entanglement_temperature(
     rho_c: NDArray[np.complex128], e0: float = 1.0
 ) -> TemperatureResult:
     """Temperature of a 2x2 coin density matrix; T = 2 e0 / ln(l1/l2)."""
-    if e0 <= 0:
-        raise ValueError(f"e0 must be positive, got {e0}")
     rho_c = np.asarray(rho_c)
     if rho_c.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {rho_c.shape}")
-    if np.abs(rho_c - rho_c.conj().T).max() > 1e-8:
+    if not np.abs(rho_c - rho_c.conj().T).max() <= 1e-8:
         raise ValueError("reduced density matrix is not Hermitian within tolerance")
-    l1, l2 = _eigvals_2x2_hermitian(rho_c)
-    l2 = max(l2, 0.0)
-    if l1 - l2 <= _MIXED_GAP_TOL:
-        temp = math.inf
-    elif l2 <= _PURE_TOL:
-        temp = 0.0
-    else:
-        temp = 2.0 * e0 / math.log(l1 / l2)
-    return TemperatureResult(lambda1=l1, lambda2=l2, temperature=temp)
+    l1, l2, temp = _temperatures(rho_c, e0)
+    return TemperatureResult(lambda1=float(l1), lambda2=float(l2), temperature=float(temp))
 
 
-def temperature_ratio(t: float, t0: float) -> float:
-    """T/T0 with the infinite cases resolved: inf/inf -> 1, x/inf -> 0,
-    inf/x -> inf.  A zero reference maps everything warmer to +inf."""
-    if math.isinf(t):
-        return 1.0 if math.isinf(t0) else math.inf
-    if math.isinf(t0):
-        return 0.0
-    if t0 == 0.0:
-        return 1.0 if t == 0.0 else math.inf
-    return t / t0
+def temperature_ratio(t, t0):
+    """T/T0 of temperatures in [0, inf] with the infinite cases resolved:
+    inf/inf -> 1, x/inf -> 0, inf/x -> inf.  A zero reference maps everything
+    warmer to +inf.  Takes arrays that broadcast; a float for scalar input."""
+    t, t0 = np.asarray(t, dtype=float), np.asarray(t0, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t == t0, 1.0, t / t0)[()]  # t == t0 covers inf/inf and 0/0
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +116,8 @@ def _axis(spec: tuple[float, float, int]) -> NDArray[np.float64]:
     start, stop, num = spec
     if num < 1:
         raise ValueError(f"axis resolution must be >= 1, got {num}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"axis ends must be finite, got {start} and {stop}")
     return np.linspace(start, stop, int(num))
 
 
@@ -145,25 +142,24 @@ def bloch_temperature_scan(
     gammas = _axis(gamma_axis)
     phis = _axis(phi_axis)
 
-    # a local state at node 0 has R_k = chi chi^dag / N in every sector, so rho_c
-    # is one real-linear map of chi chi^dag: take its images of the Pauli basis
-    image = pinched_sum(spectrum(n, *astuple(coin)), _PAULI[:, None] / (2 * n))
+    # a local state at node 0 has psi_k = chi / sqrt(N) in every sector, so rho_c
+    # is one real-linear map of chi chi^dag: take its images of the basis states
+    image = _coin_density(spectrum(n, *astuple(coin)), _BASIS[:, None] / math.sqrt(n))
     # the reference (pi, 0) rides along as point 0, computed like every other
     g = np.concatenate([[math.pi], np.repeat(gammas, phis.size)])
     p = np.concatenate([[0.0], np.tile(phis, gammas.size)])
-    chi = np.stack([np.cos(g / 2), np.exp(1j * p) * np.sin(g / 2)], axis=1)
-    coords = np.einsum("pc,mcd,pd->pm", chi.conj(), _PAULI, chi).real
-    rhos = np.einsum("pm,mab->pab", coords, image)
-
-    t0, *temps = [entanglement_temperature(rho, e0=e0).temperature for rho in rhos]
-    values = np.array([temperature_ratio(t, t0) for t in temps]).reshape(gammas.size, phis.size)
+    # chi chi^dag = (I + x X + y Y + z Z) / 2 for the Bloch vector (x, y, z)
+    x, y, z = np.sin(g) * np.cos(p), np.sin(g) * np.sin(p), np.cos(g)
+    coords = np.stack([1 + z - x - y, 1 - z - x - y, 2 * x, 2 * y]) / 2
+    temps = _temperatures(np.einsum("mp,mab->pab", coords, image), e0)[2]
+    values = temperature_ratio(temps[1:], temps[0]).reshape(gammas.size, phis.size)
     return ScanGrid(
         axis1_name="gamma",
         axis2_name="phi",
         axis1=gammas,
         axis2=phis,
         values=values,
-        reference_temperature=t0,
+        reference_temperature=float(temps[0]),
     )
 
 
@@ -183,6 +179,8 @@ def coin_phase_temperature_scan(
     diagonal holds at 1 (far below 1e-9 for N ~ 100), while away from it the
     walk runs both hotter (diverging near zeta = xi +/- pi) and colder.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     n = int(n_nodes)
     state = initial if isinstance(initial, WalkState) else make_state(initial, n)
     if state.n_nodes != n:
@@ -190,16 +188,10 @@ def coin_phase_temperature_scan(
     zetas = _axis(zeta_axis)
     xis = _axis(xi_axis)
 
-    psis = momentum_spinors(state)  # (2, N); independent of the coin
-    sector_density = np.einsum("ak,bk->kab", psis, np.conj(psis))
-
-    rho0 = asymptotic_reduced_density(state, hadamard_params())
-    t0 = entanglement_temperature(rho0, e0=e0).temperature
-
-    values = np.empty((zetas.size, xis.size))
-    for i, z in enumerate(zetas):
-        for j, rho in enumerate(pinched_sum(spectrum(n, theta, z, xis), sector_density)):
-            values[i, j] = temperature_ratio(entanglement_temperature(rho, e0=e0).temperature, t0)
+    t0 = float(_temperatures(asymptotic_reduced_density(state, hadamard_params()), e0)[2])
+    psis = momentum_spinors(state).T  # (N, 2); independent of the coin
+    rhos = np.stack([_coin_density(spectrum(n, theta, z, xis), psis) for z in zetas])
+    values = temperature_ratio(_temperatures(rhos, e0)[2], t0)
     return ScanGrid(
         axis1_name="zeta",
         axis2_name="xi",

@@ -28,7 +28,7 @@ from numpy.typing import NDArray
 
 from .asymptotics import asymptotic_reduced_density, limiting_distribution
 from .coin import CoinParams, build_coin
-from .evolution import _window_sums
+from .evolution import _density_residuals, _window_sums
 from .state import WalkState
 
 __all__ = ["VerifyConfig", "CaseResult", "VerifyReport", "sample_coins", "run_verification"]
@@ -55,6 +55,8 @@ class VerifyConfig:
                 f"need >= 1 coin per N and state per coin, got {self.coins_per_n} "
                 f"and {self.states_per_coin}"
             )
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -130,16 +132,6 @@ def sample_coins(rng: np.random.Generator, n_nodes: int, count: int) -> list[Coi
     return coins
 
 
-def _density_defect(rho: NDArray[np.complex128]) -> float:
-    """How far a 2x2 matrix is from being a density matrix: the worst of the
-    hermiticity residual, |trace - 1|, and any negative eigenvalue."""
-    herm = float(np.abs(rho - rho.conj().T).max())
-    tr = float(abs(np.trace(rho) - 1.0))
-    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    neg = float(max(0.0, -w.min()))
-    return max(herm, tr, neg)
-
-
 def _random_states(rng: np.random.Generator, n_nodes: int, count: int) -> NDArray[np.complex128]:
     """(count, 2, N) stack of dense normalized random states."""
     z = rng.standard_normal((count, 2, n_nodes)) + 1j * rng.standard_normal((count, 2, n_nodes))
@@ -167,7 +159,8 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
             rho = asymptotic_reduced_density(state, coin)
             ld_dev = float(np.abs(ld - avg_dist[x]).max())
             rho_dev = float(np.abs(rho - avg_rho[x]).max())
-            max_defect = max(max_defect, _density_defect(rho), _density_defect(avg_rho[x]))
+            residuals = [*_density_residuals(rho), *_density_residuals(avg_rho[x])]
+            max_defect = float(np.max([max_defect, *residuals]))  # unlike max(), keeps NaN
             if ld_dev > max_ld:
                 max_ld, worst_ld_coin = ld_dev, coin
             if rho_dev > max_rho:

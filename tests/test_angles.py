@@ -63,7 +63,9 @@ def test_parse_angle_tokens(token, expected):
     assert parse_angle(token) == expected
 
 
-@pytest.mark.parametrize("token", ["", "pie", "pi/0", "two pi", "1/2pi/3", "nanpi"])
+@pytest.mark.parametrize(
+    "token", ["", "pie", "pi/0", "two pi", "1/2pi/3", "nanpi", "nan", "inf", "-inf", "1e400"]
+)
 def test_parse_angle_rejects_garbage(token):
     with pytest.raises(ValueError):
         parse_angle(token)

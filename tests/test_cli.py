@@ -185,6 +185,17 @@ def test_verify_pass_and_fail_exit_codes(capsys):
         ["temp", "-N", "1", "--axis1=0:pi:2", "--axis2=0:pi:2"],
         ["ld", "-N", "6", "--seed", "3"],
         ["verify", "--format", "json"],
+        ["ld", "-N", "6", "--init", "bloch:nan,0"],
+        ["ld", "-N", "6", "--init", "local:0,nan,0,0,0"],
+        ["temp", "-N", "8", "--scan", "phases", "--theta", "nan", "--axis1=0:pi:2"],
+        ["temp", "-N", "8", "--e0", "nan", "--axis1=0:pi:2", "--axis2=0:pi:2"],
+        ["simulate", "-N", "4", "--tmax", "inf"],
+        ["simulate", "-N", "4", "--tmax", "nan"],
+        ["simulate", "-N", "4", "--tmax", "2.5"],
+        ["verify", "--n-min", "3", "--n-max", "3", "--coins", "1", "--tmax", "inf"],
+        ["verify", "--n-min", "3", "--n-max", "3", "--coins", "1", "--tmax", "100", "--tol", "-1"],
+        ["verify", "--n-min", "3", "--n-max", "3", "--coins", "1", "--tmax", "100", "--tol", "0"],
+        ["verify", "--n-min", "3", "--n-max", "3", "--coins", "1", "--tmax", "100", "--tol", "nan"],
     ],
 )
 def test_invalid_configuration_exits_2(args, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,8 +134,9 @@ def test_time_average_requires_positive_window():
     s = make_state(Local(0), 4)
     coin = np.eye(2, dtype=complex)
     for fn in (time_avg_density, time_avg_distribution, time_avg_reduced_density):
-        with pytest.raises(ValueError):
-            fn(s, coin, 0)
+        for t_max in (0, 2.5, math.inf, math.nan):  # the average divides by t_max
+            with pytest.raises(ValueError):
+                fn(s, coin, t_max)
 
 
 def test_checks_reject_defects():
@@ -149,6 +152,11 @@ def test_checks_reject_defects():
         check_distribution(np.array([0.7, 0.2]))
     with pytest.raises(ValueError):
         check_distribution(np.array([1.1, -0.1]))
+    with pytest.raises(ValueError):
+        check_distribution(np.full(4, np.nan))
+    for rho in (np.full((2, 2), np.nan), np.diag([np.nan, 1.0])):
+        with pytest.raises(ValueError):
+            check_density(rho)
     check_distribution(np.array([0.25, 0.75]))
 
 

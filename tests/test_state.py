@@ -23,6 +23,8 @@ def test_walkstate_rejects_unnormalized():
         WalkState(n_nodes=3, amplitudes=np.ones(6))
     with pytest.raises(ValueError):
         WalkState(n_nodes=3, amplitudes=np.zeros(6))
+    with pytest.raises(ValueError):
+        WalkState(n_nodes=3, amplitudes=np.full(6, np.nan))
 
 
 def test_walkstate_rejects_wrong_length():

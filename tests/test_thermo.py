@@ -61,6 +61,9 @@ def test_ratio_semantics():
     assert temperature_ratio(0.0, 0.0) == 1.0
     assert temperature_ratio(1.0, 0.0) == math.inf
     assert temperature_ratio(3.0, 2.0) == 1.5
+    t = np.array([math.inf, 2.0, math.inf, 0.0, 1.0, 3.0, 0.0])
+    t0 = np.array([math.inf, math.inf, 2.0, 0.0, 0.0, 2.0, 2.0])
+    assert temperature_ratio(t, t0).tolist() == [1.0, 0.0, math.inf, 1.0, math.inf, 1.5, 0.0]
 
 
 def _temperature(state, coin):
@@ -107,7 +110,7 @@ def test_bloch_scan_reference_point_is_one():
 
 
 def test_bloch_scan_fallback_agrees_with_direct():
-    # theta = 0 puts scalar blocks on the k-axis, forcing the per-block path
+    # theta = 0 puts scalar blocks on the k-axis, which keep psi_k whole
     coin = CoinParams(0.0, 0.0, 0.3)
     grid = bloch_temperature_scan(coin, 4, (0.0, math.pi, 3), (0.0, math.pi, 3))
     for i, g in enumerate(grid.axis1):
@@ -140,3 +143,19 @@ def test_phase_scan_rejects_mismatched_state():
 def test_axis_resolution_validated():
     with pytest.raises(ValueError):
         bloch_temperature_scan(hadamard_params(), 6, (0.0, math.pi, 0), (0.0, 1.0, 3))
+    with pytest.raises(ValueError):
+        bloch_temperature_scan(hadamard_params(), 6, (0.0, math.nan, 3), (0.0, 1.0, 3))
+
+
+@pytest.mark.parametrize("e0", [0.0, -1.0, math.nan, math.inf])
+def test_scans_reject_bad_e0(e0):
+    axes = (0.0, math.pi, 3), (0.0, math.pi, 3)
+    with pytest.raises(ValueError):
+        bloch_temperature_scan(hadamard_params(), 6, *axes, e0=e0)
+    with pytest.raises(ValueError):
+        coin_phase_temperature_scan(math.pi / 4, Local(0), 6, *axes, e0=e0)
+
+
+def test_phase_scan_rejects_non_finite_theta():
+    with pytest.raises(ValueError):
+        coin_phase_temperature_scan(math.nan, Local(0), 6, (0.0, 1.0, 2), (0.0, 1.0, 2))
