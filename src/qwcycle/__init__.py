@@ -8,14 +8,7 @@ brute-force evolution oracle to check every closed form against.
 """
 
 from .angles import canonicalize, parse_angle
-from .asymptotics import (
-    asymptotic_reduced_density,
-    hadamard_local_ld,
-    limiting_distribution,
-    m_kk_closed_form,
-    m_matrix,
-    theta_matrix,
-)
+from .asymptotics import asymptotic_reduced_density, limiting_distribution
 from .coin import CoinParams, build_coin, diaz_params, hadamard_params, parse_coin
 from .evolution import (
     evolve,
@@ -26,7 +19,7 @@ from .evolution import (
     time_avg_distribution,
     time_avg_reduced_density,
 )
-from .spectral import DegeneracyTable, KBlock, degeneracy_table, solve_all_blocks, solve_block
+from .reference import degeneracy_table, solve_all_blocks  # read by bench/run.py; not in __all__
 from .state import (
     Bloch,
     EntangledPair,
@@ -53,9 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bloch",
     "CoinParams",
-    "DegeneracyTable",
     "EntangledPair",
-    "KBlock",
     "Local",
     "Raw",
     "ScanGrid",
@@ -69,15 +60,11 @@ __all__ = [
     "build_coin",
     "canonicalize",
     "coin_phase_temperature_scan",
-    "degeneracy_table",
     "diaz_params",
     "entanglement_temperature",
     "evolve",
-    "hadamard_local_ld",
     "hadamard_params",
     "limiting_distribution",
-    "m_kk_closed_form",
-    "m_matrix",
     "make_state",
     "momentum_spinors",
     "parse_angle",
@@ -86,11 +73,8 @@ __all__ = [
     "position_distribution",
     "reduce_to_coin",
     "run_verification",
-    "solve_all_blocks",
-    "solve_block",
     "step",
     "temperature_ratio",
-    "theta_matrix",
     "time_avg_density",
     "time_avg_distribution",
     "time_avg_reduced_density",

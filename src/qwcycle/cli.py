@@ -154,11 +154,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_temp = walk_parser("temp", "temperature-ratio scans")
-    p_temp.add_argument("--e0", type=float, default=1.0, help="energy scale E0")
     p_temp.add_argument("--scan", choices=("bloch", "phases"), default="bloch")
-    p_temp.add_argument("--theta", default="pi/4", help="coin angle for --scan phases")
+    p_temp.add_argument("--theta", help="coin angle for --scan phases (default pi/4)")
     p_temp.add_argument("--axis1", type=_axis_arg, default=None, help="START:STOP:NUM")
     p_temp.add_argument("--axis2", type=_axis_arg, default=None, help="START:STOP:NUM")
+    # None marks a flag left unset, so that one the scan does not read is refused
+    p_temp.set_defaults(coin=None, init=None)
 
     p_ver = sub.add_parser("verify", help="randomized oracle-vs-closed-form sweep")
     p_ver.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -209,22 +210,24 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "temp":
+        unread = ("init", "theta") if args.scan == "bloch" else ("coin",)
+        passed = [f"--{name}" for name in unread if getattr(args, name) is not None]
+        if passed:
+            raise ValueError(f"temp --scan {args.scan} does not read {', '.join(passed)}")
         if args.scan == "bloch":
             grid = bloch_temperature_scan(
-                parse_coin(args.coin),
+                parse_coin("hadamard" if args.coin is None else args.coin),
                 args.nodes,
                 gamma_axis=args.axis1 or (0.0, math.pi, 101),
                 phi_axis=args.axis2 or (0.0, 2 * math.pi, 101),
-                e0=args.e0,
             )
         else:
             grid = coin_phase_temperature_scan(
-                parse_angle(args.theta),
-                parse_state(args.init),
+                parse_angle("pi/4" if args.theta is None else args.theta),
+                parse_state("local:0" if args.init is None else args.init),
                 args.nodes,
                 zeta_axis=args.axis1 or (-math.pi, math.pi, 101),
                 xi_axis=args.axis2 or (-math.pi, math.pi, 101),
-                e0=args.e0,
             )
         _emit_grid(grid, args)
         return 0

@@ -62,6 +62,13 @@ def _step_grid(grid: NDArray[np.complex128], coin: NDArray[np.complex128]) -> ND
     return out
 
 
+def _steps(t: float, least: int, name: str) -> int:
+    # int(2.5) would run 2 steps, and the averages divide by the count
+    if not (float(t).is_integer() and t >= least):
+        raise ValueError(f"{name} must be a whole number of steps >= {least}, got {t}")
+    return int(t)
+
+
 def evolve(state0: WalkState, coin: NDArray[np.complex128], t: int) -> WalkState:
     """t-fold application of ``step``, same arithmetic without per-step checks.
 
@@ -70,10 +77,8 @@ def evolve(state0: WalkState, coin: NDArray[np.complex128], t: int) -> WalkState
     so it is stripped at the end.  Drift beyond 1e-9 means the coin was not
     unitary and raises instead.
     """
-    if t < 0:
-        raise ValueError(f"step count must be >= 0, got {t}")
     grid = state0.as_grid().copy()
-    for _ in range(int(t)):
+    for _ in range(_steps(t, 0, "t")):
         grid = _step_grid(grid, coin)
     norm = np.linalg.norm(grid)
     if not abs(norm - 1.0) <= 1e-9:
@@ -81,21 +86,15 @@ def evolve(state0: WalkState, coin: NDArray[np.complex128], t: int) -> WalkState
     return WalkState.from_grid(grid / norm)
 
 
-def _check_window(t_max: float) -> None:
-    # the averages divide by t_max, so it must count the steps exactly
-    if not (float(t_max).is_integer() and t_max >= 1):
-        raise ValueError(f"t_max must be a whole number of steps >= 1, got {t_max}")
-
-
 def time_avg_density(
     state0: WalkState, coin: NDArray[np.complex128], t_max: int
 ) -> NDArray[np.complex128]:
     """(1/t_max) sum_{t=1..t_max} |psi(t)><psi(t)|, streamed (never stores the
     trajectory).  2N x 2N, Hermitian, trace 1."""
-    _check_window(t_max)
+    steps = _steps(t_max, 1, "t_max")
     grid = state0.as_grid().copy()
     acc = np.zeros((2 * state0.n_nodes,) * 2, dtype=np.complex128)
-    for _ in range(int(t_max)):
+    for _ in range(steps):
         grid = _step_grid(grid, coin)
         flat = grid.reshape(-1)
         acc += np.outer(flat, flat.conj())
@@ -113,7 +112,7 @@ def _window_sums(
     (X, 2, 2).  Per step it accumulates |a_{s,j}|^2 and a_{0,j} conj(a_{1,j});
     rho_c is assembled from them once, so it is Hermitian by construction.
     """
-    _check_window(t_max)
+    steps = _steps(t_max, 1, "t_max")
     x, _, n = grids.shape
     # the shift as one gather on the coin-major (X, 2N) view: new[s, j] takes
     # old[s, j - 1] for s = 0 and old[s, j + 1] for s = 1, as apply_shift does
@@ -122,7 +121,7 @@ def _window_sums(
     amps = np.array(grids, dtype=np.complex128)
     probs = np.zeros((x, 2, n))
     cross = np.zeros((x, n), dtype=np.complex128)
-    for _ in range(int(t_max)):
+    for _ in range(steps):
         amps = np.take(np.matmul(coins, amps).reshape(x, 2 * n), source, axis=1).reshape(x, 2, n)
         conj = amps.conj()
         probs += (amps * conj).real

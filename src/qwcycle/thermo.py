@@ -8,7 +8,8 @@ eigenvalues (lambda1 >= lambda2, lambda1 + lambda2 = 1):
 A maximally mixed coin (lambda1 = lambda2) is infinitely hot; a pure coin
 (lambda2 = 0) is at absolute zero.  E0 is an unknown positive energy scale of
 the underlying equilibrium picture; every quantity of interest here is the
-ratio T/T0 against a reference temperature, which cancels E0.
+ratio T/T0 against a reference temperature, which cancels E0, so the scans
+report T0 in units of E0.
 
 Two scan drivers map the temperature landscape:
 
@@ -65,16 +66,14 @@ class TemperatureResult:
     ratio_to_reference: float | None = None
 
 
-def _temperatures(rho: NDArray[np.complex128], e0: float) -> tuple[NDArray[np.float64], ...]:
-    """lambda1 >= lambda2 and T = 2 e0 / ln(lambda1/lambda2) of Hermitian 2x2
-    matrices (..., 2, 2), from the closed form mean +/- radius."""
-    if not (math.isfinite(e0) and e0 > 0):
-        raise ValueError(f"e0 must be finite and positive, got {e0}")
+def _temperatures(rho: NDArray[np.complex128]) -> tuple[NDArray[np.float64], ...]:
+    """lambda1 >= lambda2 and T = 2 / ln(lambda1/lambda2) (units of E0) of
+    Hermitian 2x2 matrices (..., 2, 2), from the closed form mean +/- radius."""
     mean = 0.5 * (rho[..., 0, 0].real + rho[..., 1, 1].real)
     radius = np.hypot(0.5 * (rho[..., 0, 0].real - rho[..., 1, 1].real), np.abs(rho[..., 0, 1]))
     l1, l2 = mean + radius, np.maximum(mean - radius, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        temp = 2.0 * e0 / np.log(l1 / l2)
+        temp = 2.0 / np.log(l1 / l2)
     return l1, l2, np.select([l1 - l2 <= _MIXED_GAP_TOL, l2 <= _PURE_TOL], [math.inf, 0.0], temp)
 
 
@@ -82,13 +81,15 @@ def entanglement_temperature(
     rho_c: NDArray[np.complex128], e0: float = 1.0
 ) -> TemperatureResult:
     """Temperature of a 2x2 coin density matrix; T = 2 e0 / ln(l1/l2)."""
+    if not (math.isfinite(e0) and e0 > 0):
+        raise ValueError(f"e0 must be finite and positive, got {e0}")
     rho_c = np.asarray(rho_c)
     if rho_c.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {rho_c.shape}")
     if not np.abs(rho_c - rho_c.conj().T).max() <= 1e-8:
         raise ValueError("reduced density matrix is not Hermitian within tolerance")
-    l1, l2, temp = _temperatures(rho_c, e0)
-    return TemperatureResult(lambda1=float(l1), lambda2=float(l2), temperature=float(temp))
+    l1, l2, temp = _temperatures(rho_c)
+    return TemperatureResult(lambda1=float(l1), lambda2=float(l2), temperature=e0 * float(temp))
 
 
 def temperature_ratio(t, t0):
@@ -130,7 +131,6 @@ def bloch_temperature_scan(
     n_nodes: int,
     gamma_axis: tuple[float, float, int] = (0.0, math.pi, 101),
     phi_axis: tuple[float, float, int] = (0.0, 2.0 * math.pi, 101),
-    e0: float = 1.0,
 ) -> ScanGrid:
     """T/T0 over local initial coins [cos(g/2), e^{i p} sin(g/2)] at node 0.
 
@@ -151,7 +151,7 @@ def bloch_temperature_scan(
     # chi chi^dag = (I + x X + y Y + z Z) / 2 for the Bloch vector (x, y, z)
     x, y, z = np.sin(g) * np.cos(p), np.sin(g) * np.sin(p), np.cos(g)
     coords = np.stack([1 + z - x - y, 1 - z - x - y, 2 * x, 2 * y]) / 2
-    temps = _temperatures(np.einsum("mp,mab->pab", coords, image), e0)[2]
+    temps = _temperatures(np.einsum("mp,mab->pab", coords, image))[2]
     values = temperature_ratio(temps[1:], temps[0]).reshape(gammas.size, phis.size)
     return ScanGrid(
         axis1_name="gamma",
@@ -169,7 +169,6 @@ def coin_phase_temperature_scan(
     n_nodes: int,
     zeta_axis: tuple[float, float, int] = (-math.pi, math.pi, 101),
     xi_axis: tuple[float, float, int] = (-math.pi, math.pi, 101),
-    e0: float = 1.0,
 ) -> ScanGrid:
     """T/T0 over coin phases (zeta, xi) at fixed theta, for one initial state.
 
@@ -188,10 +187,10 @@ def coin_phase_temperature_scan(
     zetas = _axis(zeta_axis)
     xis = _axis(xi_axis)
 
-    t0 = float(_temperatures(asymptotic_reduced_density(state, hadamard_params()), e0)[2])
+    t0 = float(_temperatures(asymptotic_reduced_density(state, hadamard_params()))[2])
     psis = momentum_spinors(state).T  # (N, 2); independent of the coin
     rhos = np.stack([_coin_density(spectrum(n, theta, z, xis), psis) for z in zetas])
-    values = temperature_ratio(_temperatures(rhos, e0)[2], t0)
+    values = temperature_ratio(_temperatures(rhos)[2], t0)
     return ScanGrid(
         axis1_name="zeta",
         axis2_name="xi",

@@ -11,17 +11,19 @@ import math
 import numpy as np
 import pytest
 
-from qwcycle.asymptotics import (
-    asymptotic_reduced_density,
-    hadamard_local_ld,
-    limiting_distribution,
-    m_kk_closed_form,
-    m_matrix,
-    theta_matrix,
-)
+from qwcycle.asymptotics import asymptotic_reduced_density, limiting_distribution
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
 from qwcycle.evolution import time_avg_distribution
-from qwcycle.spectral import degeneracy_table, solve_all_blocks, solve_block
+from qwcycle.reference import (
+    characteristic_sums,
+    degeneracy_table,
+    hadamard_local_ld,
+    m_kk_closed_form,
+    m_matrix,
+    solve_all_blocks,
+    solve_block,
+    theta_matrix,
+)
 from qwcycle.state import (
     EntangledPair,
     Local,
@@ -199,17 +201,9 @@ def test_criterion_09_invariance_suite():
         )
         psis = momentum_spinors(state)
         for variant in (blocks, gauged):
-            rho_v = sum(
-                theta_matrix(m_matrix(kb, kb), psis[:, kb.k], psis[:, kb.k])
-                for kb in variant
+            pi_v, rho_v = characteristic_sums(
+                variant, psis, degeneracy_table(coin, n).cross_pairs()
             )
-            acc = np.zeros(n, dtype=complex)
-            for k, kp in degeneracy_table(coin, n).cross_pairs():
-                tr = np.trace(
-                    theta_matrix(m_matrix(variant[k], variant[kp]), psis[:, k], psis[:, kp])
-                )
-                acc += np.exp(2j * math.pi * np.arange(n) * (k - kp) / n) * tr
-            pi_v = 1.0 / n + acc.real / n
             worst = max(worst, float(np.abs(rho_v - rho).max()))
             worst = max(worst, float(np.abs(pi_v - ld).max()))
     assert worst < 1e-12

@@ -6,23 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwcycle.asymptotics import (
-    asymptotic_reduced_density,
-    hadamard_local_ld,
-    limiting_distribution,
-    m_kk_closed_form,
-    m_matrix,
-    theta_matrix,
-)
+from qwcycle.asymptotics import asymptotic_reduced_density, limiting_distribution
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
 from qwcycle.evolution import time_avg_distribution, time_avg_reduced_density
-from qwcycle.spectral import (
-    DEGENERACY_TOL,
+from qwcycle.reference import (
+    characteristic_sums,
     degeneracy_table,
+    hadamard_local_ld,
+    m_kk_closed_form,
+    m_matrix,
     solve_all_blocks,
     solve_block,
-    spectrum,
+    theta_matrix,
 )
+from qwcycle.spectral import DEGENERACY_TOL, spectrum
 from qwcycle.state import Local, WalkState, make_state, momentum_spinors
 
 SWAP = np.array(
@@ -117,12 +114,6 @@ def test_reduced_density_is_valid_and_matches_oracle(rng):
     assert np.abs(rho - oracle).max() < 5e-3
 
 
-def test_reduced_density_checks_cycle_size():
-    state = make_state(Local(0), 5)
-    with pytest.raises(ValueError):
-        asymptotic_reduced_density(state, hadamard_params(), n_nodes=6)
-
-
 def test_limiting_distribution_uniform_without_degeneracy():
     # odd cycle under Hadamard: no pairing, exactly uniform
     for n in (3, 5, 9):
@@ -178,14 +169,9 @@ def test_initial_phase_invariance(rng):
 def pair_sum_reference(state, coin):
     """(pi, rho_c) from KBlocks, m_matrix / theta_matrix and the k + k' pairing."""
     n = state.n_nodes
-    blocks = solve_all_blocks(coin, n)
-    psis = momentum_spinors(state)
-    rho = sum(theta_matrix(m_matrix(kb, kb), psis[:, kb.k], psis[:, kb.k]) for kb in blocks)
-    acc = np.zeros(n, dtype=complex)
-    for k, kp in degeneracy_table(coin, n).cross_pairs():
-        tr = np.trace(theta_matrix(m_matrix(blocks[k], blocks[kp]), psis[:, k], psis[:, kp]))
-        acc += np.exp(2j * math.pi * np.arange(n) * (k - kp) / n) * tr
-    return 1.0 / n + acc.real / n, rho
+    return characteristic_sums(
+        solve_all_blocks(coin, n), momentum_spinors(state), degeneracy_table(coin, n).cross_pairs()
+    )
 
 
 def dense_reference(state, coin):

@@ -196,6 +196,8 @@ def test_verify_pass_and_fail_exit_codes(capsys):
         ["verify", "--n-min", "3", "--n-max", "3", "--coins", "1", "--tmax", "100", "--tol", "-1"],
         ["verify", "--n-min", "3", "--n-max", "3", "--coins", "1", "--tmax", "100", "--tol", "0"],
         ["verify", "--n-min", "3", "--n-max", "3", "--coins", "1", "--tmax", "100", "--tol", "nan"],
+        ["temp", "-N", "6", "--scan", "bloch", "--init", "local:3", "--theta", "1"],
+        ["temp", "-N", "6", "--scan", "phases", "--coin", "diaz:pi/3"],
     ],
 )
 def test_invalid_configuration_exits_2(args, capsys):

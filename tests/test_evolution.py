@@ -71,6 +71,9 @@ def test_evolve_rejects_negative_t():
     s = make_state(Local(0), 4)
     with pytest.raises(ValueError):
         evolve(s, np.eye(2, dtype=complex), -1)
+    for t in (2.5, math.inf, math.nan):  # not a whole number of steps
+        with pytest.raises(ValueError):
+            evolve(s, np.eye(2, dtype=complex), t)
 
 
 def test_long_run_norm_stability():

@@ -6,15 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
-from qwcycle.spectral import (
-    DEGENERACY_TOL,
-    block,
-    degeneracy_table,
-    group_eigenphases,
-    solve_all_blocks,
-    solve_block,
-    spectrum,
-)
+from qwcycle.reference import block, degeneracy_table, solve_all_blocks, solve_block
+from qwcycle.spectral import DEGENERACY_TOL, group_eigenphases, spectrum
 
 angle = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)
 coin_strategy = st.builds(CoinParams, theta=angle, zeta=angle, xi=angle, eta=angle)

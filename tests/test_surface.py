@@ -1,0 +1,60 @@
+"""The package surface: what ``qwcycle`` exports, and what the benchmark reads."""
+
+import qwcycle
+import qwcycle.cli
+from qwcycle import reference
+
+# the paper's literal constructions, kept in qwcycle.reference as test references
+REFERENCE_NAMES = {
+    "KBlock",
+    "DegeneracyTable",
+    "block",
+    "solve_block",
+    "solve_all_blocks",
+    "degeneracy_table",
+    "m_matrix",
+    "m_kk_closed_form",
+    "theta_matrix",
+    "hadamard_local_ld",
+}
+
+# bench/workloads.py reads these package attributes; listed here so that a
+# cut of the surface fails this test instead of crashing the benchmark
+BENCH_NAMES = [
+    "CoinParams",
+    "EntangledPair",
+    "Local",
+    "VerifyConfig",
+    "WalkState",
+    "asymptotic_reduced_density",
+    "bloch_temperature_scan",
+    "coin_phase_temperature_scan",
+    "limiting_distribution",
+    "make_state",
+    "run_verification",
+]
+
+
+def test_public_names_resolve_without_reference_constructions():
+    for name in qwcycle.__all__:
+        assert hasattr(qwcycle, name), name
+    assert len(set(qwcycle.__all__)) == len(qwcycle.__all__)
+    assert not REFERENCE_NAMES & set(qwcycle.__all__)
+
+
+def test_reference_module_lists_the_literal_constructions():
+    assert set(reference.__all__) == REFERENCE_NAMES | {"characteristic_sums"}
+    for name in reference.__all__:
+        assert hasattr(reference, name), name
+
+
+def test_benchmark_surface_resolves():
+    for name in BENCH_NAMES:
+        assert hasattr(qwcycle, name), name
+    assert callable(qwcycle.WalkState.from_grid)
+    assert callable(qwcycle.verify.sample_coins)
+    assert callable(qwcycle.cli.main)
+    # bench/run.py: solve_all_blocks each round, degeneracy_table in traced runs
+    coin = qwcycle.hadamard_params()
+    assert len(qwcycle.solve_all_blocks(coin, 6)) == 6
+    assert len(qwcycle.degeneracy_table(coin, 6).cross_pairs()) == 6

@@ -46,8 +46,9 @@ def test_temperature_scales_with_e0():
 
 
 def test_temperature_input_validation():
-    with pytest.raises(ValueError):
-        entanglement_temperature(np.diag([0.7, 0.3]), e0=0.0)
+    for e0 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            entanglement_temperature(np.diag([0.7, 0.3]), e0=e0)
     with pytest.raises(ValueError):
         entanglement_temperature(np.eye(3) / 3)
     with pytest.raises(ValueError):
@@ -145,15 +146,6 @@ def test_axis_resolution_validated():
         bloch_temperature_scan(hadamard_params(), 6, (0.0, math.pi, 0), (0.0, 1.0, 3))
     with pytest.raises(ValueError):
         bloch_temperature_scan(hadamard_params(), 6, (0.0, math.nan, 3), (0.0, 1.0, 3))
-
-
-@pytest.mark.parametrize("e0", [0.0, -1.0, math.nan, math.inf])
-def test_scans_reject_bad_e0(e0):
-    axes = (0.0, math.pi, 3), (0.0, math.pi, 3)
-    with pytest.raises(ValueError):
-        bloch_temperature_scan(hadamard_params(), 6, *axes, e0=e0)
-    with pytest.raises(ValueError):
-        coin_phase_temperature_scan(math.pi / 4, Local(0), 6, *axes, e0=e0)
 
 
 def test_phase_scan_rejects_non_finite_theta():
