@@ -10,15 +10,7 @@ brute-force evolution oracle to check every closed form against.
 from .angles import canonicalize, parse_angle
 from .asymptotics import asymptotic_reduced_density, limiting_distribution
 from .coin import CoinParams, build_coin, diaz_params, hadamard_params, parse_coin
-from .evolution import (
-    evolve,
-    position_distribution,
-    reduce_to_coin,
-    step,
-    time_avg_density,
-    time_avg_distribution,
-    time_avg_reduced_density,
-)
+from .evolution import evolve, time_avg_distribution, time_avg_reduced_density
 from .reference import degeneracy_table, solve_all_blocks  # read by bench/run.py; not in __all__
 from .state import (
     Bloch,
@@ -70,12 +62,8 @@ __all__ = [
     "parse_angle",
     "parse_coin",
     "parse_state",
-    "position_distribution",
-    "reduce_to_coin",
     "run_verification",
-    "step",
     "temperature_ratio",
-    "time_avg_density",
     "time_avg_distribution",
     "time_avg_reduced_density",
 ]

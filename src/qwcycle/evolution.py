@@ -1,105 +1,79 @@
-"""Direct time evolution of the coined walk and time-averaged observables.
+"""Direct time evolution of the coined walk: the production brute-force oracle.
 
-This module is the package's reference oracle: everything here is a literal
-transcription of the dynamics (coin, then conditional shift), with no spectral
-shortcuts.  The closed-form results elsewhere are validated against these
-time averages.
-
-One step is U = S (Gamma (x) I_p): the coin acts on chirality at every node,
-then the shift moves chirality-0 amplitude from node j to j+1 and chirality-1
-amplitude from j to j-1 (mod N).
+The closed-form results elsewhere are validated against these time averages,
+computed with no spectral shortcuts.  One step is U = S (Gamma (x) I_p): the
+coin acts on chirality at every node, then the shift moves chirality-0
+amplitude from node j to j+1 and chirality-1 amplitude from j to j-1 (mod N).
 
 Time averages run over t = 1..t_max inclusive; any finite choice of window
 endpoints vanishes in the t_max -> infinity limit, and fixing one makes the
 oracle deterministic for tests.
 
+Every entry point runs one kernel, ``_walk``, which steps X walks at once with
+one matmul and one index gather.  ``evolve`` runs it for one walk;
 ``time_avg_distribution``, ``time_avg_reduced_density`` and the verification
-sweep share one batched window-average loop, ``_window_sums``, which shifts by
-an index gather.  ``step``, ``evolve`` and ``time_avg_density`` (the literal
-2N x 2N average) shift with ``np.roll`` and are the reference it is pinned to.
+sweep average it through ``_window_sums``.  The literal ``np.roll`` step and
+2N x 2N average it is pinned to live in ``qwcycle.reference``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 from numpy.typing import NDArray
 
-from .state import WalkState
+from .state import WalkState, _whole
 
 __all__ = [
-    "apply_shift",
-    "step",
     "evolve",
-    "time_avg_density",
     "time_avg_distribution",
     "time_avg_reduced_density",
-    "position_distribution",
-    "reduce_to_coin",
     "check_density",
     "check_reduced_density",
     "check_distribution",
 ]
 
 
-def apply_shift(state: WalkState) -> WalkState:
-    """Conditional shift: s=0 moves +1 node, s=1 moves -1 node (mod N)."""
-    grid = state.as_grid()
-    return WalkState.from_grid(
-        np.stack([np.roll(grid[0], 1), np.roll(grid[1], -1)])
-    )
+def _walk(
+    coins: NDArray[np.complex128], grids: NDArray[np.complex128], steps: int
+) -> Iterator[NDArray[np.complex128]]:
+    """Yield the (X, 2, N) amplitudes after each of ``steps`` steps of X walks.
 
-
-def step(state: WalkState, coin: NDArray[np.complex128]) -> WalkState:
-    """One walk step: coin on chirality, then the conditional shift."""
-    return apply_shift(WalkState.from_grid(coin @ state.as_grid()))
-
-
-def _step_grid(grid: NDArray[np.complex128], coin: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    # internal hot loop: same arithmetic as step(), no WalkState re-validation
-    out = coin @ grid
-    out[0] = np.roll(out[0], 1)
-    out[1] = np.roll(out[1], -1)
-    return out
-
-
-def _steps(t: float, least: int, name: str) -> int:
-    # int(2.5) would run 2 steps, and the averages divide by the count
-    if not (float(t).is_integer() and t >= least):
-        raise ValueError(f"{name} must be a whole number of steps >= {least}, got {t}")
-    return int(t)
+    Walk x starts from ``grids[x]`` (2, N) under ``coins[x]`` (2, 2), which
+    must be unitary within 1e-10: any other coin leaks or gains norm, and
+    every average would be silently off.
+    """
+    coins = np.asarray(coins)
+    gram = np.matmul(coins.conj().swapaxes(1, 2), coins)
+    if not np.abs(gram - np.eye(2)).max() <= 1e-10:
+        raise ValueError("coin is not unitary within 1e-10")
+    x, _, n = grids.shape
+    # the shift as one gather on the coin-major (X, 2N) view: new[s, j] takes
+    # old[s, j - 1] for s = 0 and old[s, j + 1] for s = 1
+    j = np.arange(n)
+    source = np.concatenate([(j - 1) % n, n + (j + 1) % n])
+    amps = np.array(grids, dtype=np.complex128)
+    for _ in range(steps):
+        amps = np.take(np.matmul(coins, amps).reshape(x, 2 * n), source, axis=1).reshape(x, 2, n)
+        yield amps
 
 
 def evolve(state0: WalkState, coin: NDArray[np.complex128], t: int) -> WalkState:
-    """t-fold application of ``step``, same arithmetic without per-step checks.
+    """The state after t walk steps, the same arithmetic as t applications
+    of ``reference.step``.
 
     Repeated float matmuls leak norm at ~1e-17 per step; for long horizons
     that legitimate rounding drift would trip the state's normalization gate,
-    so it is stripped at the end.  Drift beyond 1e-9 means the coin was not
-    unitary and raises instead.
+    so it is stripped at the end.  Drift beyond 1e-9 raises instead.
     """
-    grid = state0.as_grid().copy()
-    for _ in range(_steps(t, 0, "t")):
-        grid = _step_grid(grid, coin)
-    norm = np.linalg.norm(grid)
+    grids = state0.as_grid()[None]
+    for grids in _walk(np.asarray(coin)[None], grids, _whole(t, 0, "t")):
+        pass
+    norm = np.linalg.norm(grids[0])
     if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"evolution lost unitarity: |norm - 1| = {abs(norm - 1.0):.3e}")
-    return WalkState.from_grid(grid / norm)
-
-
-def time_avg_density(
-    state0: WalkState, coin: NDArray[np.complex128], t_max: int
-) -> NDArray[np.complex128]:
-    """(1/t_max) sum_{t=1..t_max} |psi(t)><psi(t)|, streamed (never stores the
-    trajectory).  2N x 2N, Hermitian, trace 1."""
-    steps = _steps(t_max, 1, "t_max")
-    grid = state0.as_grid().copy()
-    acc = np.zeros((2 * state0.n_nodes,) * 2, dtype=np.complex128)
-    for _ in range(steps):
-        grid = _step_grid(grid, coin)
-        flat = grid.reshape(-1)
-        acc += np.outer(flat, flat.conj())
-    acc /= t_max
-    return acc
+    return WalkState.from_grid(grids[0] / norm)
 
 
 def _window_sums(
@@ -107,22 +81,16 @@ def _window_sums(
 ) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
     """Time averages over t = 1..t_max of X walks evolved together.
 
-    Instance x starts from ``grids[x]`` (2, N) under ``coins[x]`` (2, 2).
-    Returns the node distributions (X, N) and the reduced coin densities
-    (X, 2, 2).  Per step it accumulates |a_{s,j}|^2 and a_{0,j} conj(a_{1,j});
-    rho_c is assembled from them once, so it is Hermitian by construction.
+    Takes ``_walk``'s coins (X, 2, 2) and grids (X, 2, N).  Returns the node
+    distributions (X, N) and the reduced coin densities (X, 2, 2).  Per step
+    it accumulates |a_{s,j}|^2 and a_{0,j} conj(a_{1,j}); rho_c is assembled
+    from them once, so it is Hermitian by construction.
     """
-    steps = _steps(t_max, 1, "t_max")
+    steps = _whole(t_max, 1, "t_max")
     x, _, n = grids.shape
-    # the shift as one gather on the coin-major (X, 2N) view: new[s, j] takes
-    # old[s, j - 1] for s = 0 and old[s, j + 1] for s = 1, as apply_shift does
-    j = np.arange(n)
-    source = np.concatenate([(j - 1) % n, n + (j + 1) % n])
-    amps = np.array(grids, dtype=np.complex128)
     probs = np.zeros((x, 2, n))
     cross = np.zeros((x, n), dtype=np.complex128)
-    for _ in range(steps):
-        amps = np.take(np.matmul(coins, amps).reshape(x, 2 * n), source, axis=1).reshape(x, 2, n)
+    for amps in _walk(coins, grids, steps):
         conj = amps.conj()
         probs += (amps * conj).real
         cross += amps[:, 0] * conj[:, 1]
@@ -148,26 +116,10 @@ def time_avg_reduced_density(
 ) -> NDArray[np.complex128]:
     """Time-averaged coin-space density matrix, accumulated directly in 2x2.
 
-    Equal to reduce_to_coin(time_avg_density(...)) by linearity of the partial
-    trace, but usable at N=100, t_max=1e5 where the 2N x 2N average is not.
+    Equal to the partial trace of ``reference.time_avg_density`` by linearity,
+    but usable at N=100, t_max=1e5 where the 2N x 2N average is not.
     """
     return _window_sums(np.asarray(coin)[None], state0.as_grid()[None], t_max)[1][0]
-
-
-def position_distribution(state: WalkState) -> NDArray[np.float64]:
-    """Marginal node distribution |a_{0,j}|^2 + |a_{1,j}|^2."""
-    grid = state.as_grid()
-    return (grid.real**2 + grid.imag**2).sum(axis=0)
-
-
-def reduce_to_coin(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Partial trace over position: (rho_c)_{s,s'} = sum_j rho_{(s,j),(s',j)}."""
-    rho = np.asarray(rho)
-    dim = rho.shape[0]
-    if rho.shape != (dim, dim) or dim % 2:
-        raise ValueError(f"expected a (2N, 2N) matrix, got {rho.shape}")
-    n = dim // 2
-    return np.einsum("sjtj->st", rho.reshape(2, n, 2, n))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,11 @@ which ``characteristic_sums`` adds up: rho_c = sum_k Theta(k, k), and pi(v) =
 pairs of degenerate blocks (exactly uniform without them).  For k = k', M is
 sum_i P_i (x) P_i over the eigenprojectors; for a scalar block it is SWAP,
 and Theta(k, k) = |psi_k><psi_k| passes through the average untouched.
+
+The brute-force oracle is kept here literally too: ``apply_shift`` and
+``step`` move the walk with ``np.roll``, and ``time_avg_density`` averages
+the whole 2N x 2N density, which ``reduce_to_coin`` traces down to the coin.
+``evolution``'s one gather kernel is pinned to them.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from numpy.typing import NDArray
 from .coin import CoinParams, build_coin
 from .evolution import check_distribution
 from .spectral import DEGENERACY_TOL
+from .state import WalkState, _whole
 
 __all__ = [
     "KBlock",
@@ -49,6 +55,10 @@ __all__ = [
     "theta_matrix",
     "characteristic_sums",
     "hadamard_local_ld",
+    "apply_shift",
+    "step",
+    "time_avg_density",
+    "reduce_to_coin",
 ]
 
 
@@ -278,3 +288,44 @@ def hadamard_local_ld(n_nodes: int, t: int = 0) -> NDArray[np.float64]:
     probs = 1.0 / n + sign * total / n**2
     check_distribution(probs)
     return probs
+
+
+def apply_shift(state: WalkState) -> WalkState:
+    """Conditional shift: s=0 moves +1 node, s=1 moves -1 node (mod N)."""
+    grid = state.as_grid()
+    return WalkState.from_grid(
+        np.stack([np.roll(grid[0], 1), np.roll(grid[1], -1)])
+    )
+
+
+def step(state: WalkState, coin: NDArray[np.complex128]) -> WalkState:
+    """One walk step: coin on chirality, then the conditional shift."""
+    return apply_shift(WalkState.from_grid(coin @ state.as_grid()))
+
+
+def time_avg_density(
+    state0: WalkState, coin: NDArray[np.complex128], t_max: int
+) -> NDArray[np.complex128]:
+    """(1/t_max) sum_{t=1..t_max} |psi(t)><psi(t)|, streamed (never stores the
+    trajectory).  2N x 2N, Hermitian, trace 1."""
+    steps = _whole(t_max, 1, "t_max")
+    grid = state0.as_grid().copy()
+    acc = np.zeros((2 * state0.n_nodes,) * 2, dtype=np.complex128)
+    for _ in range(steps):
+        grid = coin @ grid
+        grid[0] = np.roll(grid[0], 1)
+        grid[1] = np.roll(grid[1], -1)
+        flat = grid.reshape(-1)
+        acc += np.outer(flat, flat.conj())
+    acc /= t_max
+    return acc
+
+
+def reduce_to_coin(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Partial trace over position: (rho_c)_{s,s'} = sum_j rho_{(s,j),(s',j)}."""
+    rho = np.asarray(rho)
+    dim = rho.shape[0]
+    if rho.shape != (dim, dim) or dim % 2:
+        raise ValueError(f"expected a (2N, 2N) matrix, got {rho.shape}")
+    n = dim // 2
+    return np.einsum("sjtj->st", rho.reshape(2, n, 2, n))

@@ -35,6 +35,17 @@ __all__ = [
 _NORM_TOL = 1e-12
 
 
+def _whole(value: float, least: int, name: str) -> int:
+    """``value`` as an int when it is a whole number >= ``least``.
+
+    The one rule for every count (cycle size, step count, window, axis
+    resolution): int() alone would run 2.5 as 2 and overflow on inf.
+    """
+    if not (float(value).is_integer() and value >= least):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class WalkState:
     """Normalized pure state of the walker; amplitudes flat (2N,), coin-major."""
@@ -113,9 +124,7 @@ InitialStateSpec = Union[Local, Bloch, EntangledPair, SeparablePair, Raw]
 
 def make_state(spec: InitialStateSpec, n_nodes: int) -> WalkState:
     """Build a normalized WalkState from a spec on an ``n_nodes``-cycle."""
-    n = int(n_nodes)
-    if n < 2:
-        raise ValueError(f"n_nodes must be an integer >= 2, got {n_nodes!r}")
+    n = _whole(n_nodes, 2, "n_nodes")
     grid = np.zeros((2, n), dtype=np.complex128)
     if isinstance(spec, Local):
         if not 0 <= spec.j < n:

@@ -35,8 +35,9 @@ from numpy.typing import NDArray
 
 from .asymptotics import _coin_density, asymptotic_reduced_density
 from .coin import CoinParams, hadamard_params
+from .evolution import check_reduced_density
 from .spectral import spectrum
-from .state import InitialStateSpec, WalkState, make_state, momentum_spinors
+from .state import InitialStateSpec, WalkState, _whole, make_state, momentum_spinors
 
 __all__ = [
     "TemperatureResult",
@@ -63,7 +64,6 @@ class TemperatureResult:
     lambda1: float
     lambda2: float
     temperature: float
-    ratio_to_reference: float | None = None
 
 
 def _temperatures(rho: NDArray[np.complex128]) -> tuple[NDArray[np.float64], ...]:
@@ -83,12 +83,8 @@ def entanglement_temperature(
     """Temperature of a 2x2 coin density matrix; T = 2 e0 / ln(l1/l2)."""
     if not (math.isfinite(e0) and e0 > 0):
         raise ValueError(f"e0 must be finite and positive, got {e0}")
-    rho_c = np.asarray(rho_c)
-    if rho_c.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got {rho_c.shape}")
-    if not np.abs(rho_c - rho_c.conj().T).max() <= 1e-8:
-        raise ValueError("reduced density matrix is not Hermitian within tolerance")
-    l1, l2, temp = _temperatures(rho_c)
+    check_reduced_density(rho_c, tol=1e-8)
+    l1, l2, temp = _temperatures(np.asarray(rho_c))
     return TemperatureResult(lambda1=float(l1), lambda2=float(l2), temperature=e0 * float(temp))
 
 
@@ -115,11 +111,10 @@ class ScanGrid:
 
 def _axis(spec: tuple[float, float, int]) -> NDArray[np.float64]:
     start, stop, num = spec
-    if num < 1:
-        raise ValueError(f"axis resolution must be >= 1, got {num}")
+    num = _whole(num, 1, "axis resolution")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"axis ends must be finite, got {start} and {stop}")
-    return np.linspace(start, stop, int(num))
+    return np.linspace(start, stop, num)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +131,7 @@ def bloch_temperature_scan(
 
     T0 is the temperature of the (gamma=pi, phi=0) state under the same coin.
     """
-    n = int(n_nodes)
-    if n < 2:
-        raise ValueError(f"n_nodes must be an integer >= 2, got {n_nodes!r}")
+    n = _whole(n_nodes, 2, "n_nodes")
     gammas = _axis(gamma_axis)
     phis = _axis(phi_axis)
 
@@ -180,7 +173,7 @@ def coin_phase_temperature_scan(
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    n = int(n_nodes)
+    n = _whole(n_nodes, 2, "n_nodes")
     state = initial if isinstance(initial, WalkState) else make_state(initial, n)
     if state.n_nodes != n:
         raise ValueError(f"state lives on N={state.n_nodes}, not N={n}")

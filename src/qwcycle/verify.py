@@ -14,9 +14,10 @@ healthy (theta near 0 or pi/2 sends some gaps to zero, where no practical
 t_max resolves the limit).
 
 All (coin, state) instances of one N evolve together through
-``evolution._window_sums``, the same loop behind ``time_avg_distribution``
-and ``time_avg_reduced_density``; a unit test pins it to the literal 2N x 2N
-average ``time_avg_density``.
+``evolution._window_sums``, the same kernel behind ``evolve``,
+``time_avg_distribution`` and ``time_avg_reduced_density``; a unit test pins
+it to the literal ``np.roll`` oracle kept in ``qwcycle.reference``, the
+2N x 2N average ``reference.time_avg_density``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from numpy.typing import NDArray
 from .asymptotics import asymptotic_reduced_density, limiting_distribution
 from .coin import CoinParams, build_coin
 from .evolution import _density_residuals, _window_sums
-from .state import WalkState
+from .state import WalkState, _whole
 
 __all__ = ["VerifyConfig", "CaseResult", "VerifyReport", "sample_coins", "run_verification"]
 
@@ -48,13 +49,13 @@ class VerifyConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if not self.n_values or min(self.n_values) < 2:
-            raise ValueError(f"n_values must be cycle sizes >= 2, got {self.n_values!r}")
-        if self.coins_per_n < 1 or self.states_per_coin < 1:
-            raise ValueError(
-                f"need >= 1 coin per N and state per coin, got {self.coins_per_n} "
-                f"and {self.states_per_coin}"
-            )
+        # counts are stored as ints, so a bad one fails here and not mid-run
+        if not self.n_values:
+            raise ValueError("n_values must name at least one cycle size")
+        n_values = tuple(_whole(n, 2, "every n_values entry") for n in self.n_values)
+        object.__setattr__(self, "n_values", n_values)
+        for name in ("coins_per_n", "states_per_coin", "t_max"):
+            object.__setattr__(self, name, _whole(getattr(self, name), 1, name))
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
@@ -150,29 +151,21 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
         mats = np.repeat([build_coin(c) for c in coins], k, axis=0)
         avg_dist, avg_rho = _window_sums(mats, grids, config.t_max)
 
-        max_ld, max_rho, max_defect = 0.0, 0.0, 0.0
-        worst_ld_coin = worst_rho_coin = coins[0]
-        for x, grid in enumerate(grids):
-            coin = coins[x // k]
-            state = WalkState.from_grid(grid)
-            ld = limiting_distribution(state, coin)
-            rho = asymptotic_reduced_density(state, coin)
-            ld_dev = float(np.abs(ld - avg_dist[x]).max())
-            rho_dev = float(np.abs(rho - avg_rho[x]).max())
-            residuals = [*_density_residuals(rho), *_density_residuals(avg_rho[x])]
-            max_defect = float(np.max([max_defect, *residuals]))  # unlike max(), keeps NaN
-            if ld_dev > max_ld:
-                max_ld, worst_ld_coin = ld_dev, coin
-            if rho_dev > max_rho:
-                max_rho, worst_rho_coin = rho_dev, coin
+        instances = [(WalkState.from_grid(grid), coins[x // k]) for x, grid in enumerate(grids)]
+        lds = np.array([limiting_distribution(s, c) for s, c in instances])
+        rhos = np.array([asymptotic_reduced_density(s, c) for s, c in instances])
+        ld_devs = np.abs(lds - avg_dist).max(axis=1)
+        rho_devs = np.abs(rhos - avg_rho).max(axis=(1, 2))
+        defects = [_density_residuals(r) for r in (*rhos, *avg_rho)]
+        # np.max, unlike max(), keeps NaN; argmax names the first worst instance
         cases.append(
             CaseResult(
                 n_nodes=n,
-                max_ld_deviation=max_ld,
-                max_rho_deviation=max_rho,
-                worst_ld_coin=worst_ld_coin,
-                worst_rho_coin=worst_rho_coin,
-                max_density_defect=max_defect,
+                max_ld_deviation=float(np.max(ld_devs)),
+                max_rho_deviation=float(np.max(rho_devs)),
+                worst_ld_coin=coins[int(np.argmax(ld_devs)) // k],
+                worst_rho_coin=coins[int(np.argmax(rho_devs)) // k],
+                max_density_defect=float(np.max(defects)),
             )
         )
     return VerifyReport(config=config, cases=tuple(cases))

@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
 from qwcycle.evolution import (
-    apply_shift,
     check_density,
     check_distribution,
     check_reduced_density,
     evolve,
-    position_distribution,
-    reduce_to_coin,
-    step,
-    time_avg_density,
     time_avg_distribution,
     time_avg_reduced_density,
 )
+from qwcycle.reference import apply_shift, reduce_to_coin, step, time_avg_density
 from qwcycle.state import Local, WalkState, make_state
 
 angle = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)
@@ -57,14 +53,16 @@ def test_identity_coin_walks_forward():
 
 
 def test_evolve_equals_repeated_step(rng):
-    coin = build_coin(CoinParams(0.9, -0.4, 1.3, 0.2))
-    s = random_state(rng, 6)
-    manual = s
-    for _ in range(7):
-        manual = step(manual, coin)
-    # identical arithmetic, then the drift of the final norm is divided out
-    grid = manual.as_grid()
-    assert np.array_equal(evolve(s, coin, 7).as_grid(), grid / np.linalg.norm(grid))
+    for n in (2, 3, 8, 64):
+        for theta in (0.0, math.pi / 2, 0.9):
+            coin = build_coin(CoinParams(theta, -0.4, 1.3, 0.2))
+            s = random_state(rng, n)
+            manual = s
+            for _ in range(1_000):
+                manual = step(manual, coin)
+            # identical arithmetic, then the drift of the final norm is divided out
+            grid = manual.as_grid()
+            assert np.array_equal(evolve(s, coin, 1_000).as_grid(), grid / np.linalg.norm(grid))
 
 
 def test_evolve_rejects_negative_t():
@@ -93,8 +91,9 @@ def test_long_run_norm_stability():
 
 def test_evolve_rejects_non_unitary_coin():
     s = make_state(Local(0), 4)
-    with pytest.raises(ValueError):
-        evolve(s, 1.01 * np.eye(2, dtype=complex), 2_000)
+    for fn in (evolve, time_avg_distribution, time_avg_reduced_density):
+        with pytest.raises(ValueError):
+            fn(s, 1.01 * np.eye(2, dtype=complex), 2_000)
 
 
 def test_reduced_average_consistent_with_full_density(rng):
@@ -114,13 +113,6 @@ def test_distribution_average_consistent_with_full_density(rng):
     avg = time_avg_distribution(s, coin, 200)
     assert np.abs(avg - node_marginal).max() < 1e-13
     check_distribution(avg)
-
-
-def test_position_distribution():
-    s = make_state(Local(2, 0.6, 0.8), 5)
-    d = position_distribution(s)
-    assert abs(d[2] - 1.0) < 1e-15
-    assert abs(d.sum() - 1.0) < 1e-15
 
 
 def test_reduce_to_coin_block_trace():

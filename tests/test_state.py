@@ -100,8 +100,9 @@ def test_raw_rejects_zero_and_bad_indices():
 
 
 def test_make_state_rejects_tiny_cycle():
-    with pytest.raises(ValueError):
-        make_state(Local(0), 1)
+    for n in (1, 8.7):  # 8.7 used to build N = 8
+        with pytest.raises(ValueError):
+            make_state(Local(0), n)
 
 
 def test_parse_state_forms():

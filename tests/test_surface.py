@@ -1,5 +1,8 @@
 """The package surface: what ``qwcycle`` exports, and what the benchmark reads."""
 
+import ast
+from pathlib import Path
+
 import qwcycle
 import qwcycle.cli
 from qwcycle import reference
@@ -16,6 +19,10 @@ REFERENCE_NAMES = {
     "m_kk_closed_form",
     "theta_matrix",
     "hadamard_local_ld",
+    "apply_shift",
+    "step",
+    "time_avg_density",
+    "reduce_to_coin",
 }
 
 # bench/workloads.py reads these package attributes; listed here so that a
@@ -46,6 +53,21 @@ def test_reference_module_lists_the_literal_constructions():
     assert set(reference.__all__) == REFERENCE_NAMES | {"characteristic_sums"}
     for name in reference.__all__:
         assert hasattr(reference, name), name
+
+
+def test_no_production_module_imports_reference():
+    package = Path(qwcycle.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("__init__.py", "reference.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(n.split(".")[-1] == "reference" for n in names), path.name
 
 
 def test_benchmark_surface_resolves():

@@ -53,6 +53,10 @@ def test_temperature_input_validation():
         entanglement_temperature(np.eye(3) / 3)
     with pytest.raises(ValueError):
         entanglement_temperature(np.array([[0.5, 0.4], [0.1, 0.5]]))
+    # not densities: a negative eigenvalue, trace 1.8, trace 0.4
+    for diag in ((2.0, -1.0), (0.9, 0.9), (0.3, 0.1)):
+        with pytest.raises(ValueError):
+            entanglement_temperature(np.diag(diag))
 
 
 def test_ratio_semantics():
@@ -146,6 +150,13 @@ def test_axis_resolution_validated():
         bloch_temperature_scan(hadamard_params(), 6, (0.0, math.pi, 0), (0.0, 1.0, 3))
     with pytest.raises(ValueError):
         bloch_temperature_scan(hadamard_params(), 6, (0.0, math.nan, 3), (0.0, 1.0, 3))
+    with pytest.raises(ValueError):
+        bloch_temperature_scan(hadamard_params(), 6, (0.0, 1.0, 2.7), (0.0, 1.0, 3))
+    # cycle sizes that are not whole numbers
+    with pytest.raises(ValueError):
+        bloch_temperature_scan(hadamard_params(), 2.9, (0.0, 1.0, 2), (0.0, 1.0, 2))
+    with pytest.raises(ValueError):
+        coin_phase_temperature_scan(math.pi / 4, Local(0), 8.5, (0.0, 1.0, 2), (0.0, 1.0, 2))
 
 
 def test_phase_scan_rejects_non_finite_theta():

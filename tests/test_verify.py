@@ -1,9 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
 from qwcycle.coin import build_coin
-from qwcycle.evolution import _window_sums, reduce_to_coin, time_avg_density
+from qwcycle.evolution import _window_sums
+from qwcycle.reference import reduce_to_coin, time_avg_density
 from qwcycle.state import WalkState
 from qwcycle.verify import THETA_RANGE, VerifyConfig, run_verification, sample_coins
 
@@ -54,6 +56,14 @@ def test_fixed_seed_reproduces_identical_report():
     b = run_verification(TINY)
     assert a.summary_lines() == b.summary_lines()
     assert a.cases == b.cases
+
+
+def test_config_rejects_counts_that_are_not_whole():
+    for bad in ({"t_max": 0}, {"t_max": 2.5}, {"n_values": (3.5,)}, {"coins_per_n": 1.5}):
+        with pytest.raises(ValueError):
+            VerifyConfig(**bad)
+    config = VerifyConfig(n_values=(3.0,), t_max=1e3)
+    assert config.n_values == (3,) and config.t_max == 1000 and type(config.t_max) is int
 
 
 def test_insufficient_averaging_is_reported_as_failure():
