@@ -13,7 +13,7 @@ import io
 import json
 import math
 import sys
-from typing import Any
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -38,8 +38,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _jsonable(x: float) -> Any:
-    return "inf" if math.isinf(x) and x > 0 else ("-inf" if math.isinf(x) else x)
+def _emit(args: argparse.Namespace, header: list[str], rows: Iterable, payload: dict) -> None:
+    """Write ``rows`` as CSV under ``header``, or ``payload`` as JSON, per --format."""
+    if args.format == "json":
+        return _write(json.dumps(payload, indent=2) + "\n", args.out)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])  # default dialect: CRLF line ends
+    _write(buf.getvalue(), args.out)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -52,58 +57,35 @@ def _write(text: str, out: str | None) -> None:
 
 def _emit_distribution(probs: np.ndarray, args: argparse.Namespace) -> None:
     check_distribution(probs)
-    if args.format == "json":
-        payload = {"n_nodes": len(probs), "pi": [float(p) for p in probs]}
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["v", "pi_v"])
-        for v, p in enumerate(probs):
-            w.writerow([v, _fmt(p)])
-        _write(buf.getvalue(), args.out)
+    pi = probs.tolist()
+    rows = ([v, _fmt(p)] for v, p in enumerate(pi))
+    _emit(args, ["v", "pi_v"], rows, {"n_nodes": len(pi), "pi": pi})
 
 
 def _emit_matrix(rho: np.ndarray, args: argparse.Namespace) -> None:
     check_reduced_density(rho, tol=1e-8)
-    if args.format == "json":
-        payload = {
-            "entries": [
-                {"row": r, "col": c, "re": rho[r, c].real, "im": rho[r, c].imag}
-                for r in range(2)
-                for c in range(2)
-            ]
-        }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["row", "col", "re", "im"])
-        for r in range(2):
-            for c in range(2):
-                w.writerow([r, c, _fmt(rho[r, c].real), _fmt(rho[r, c].imag)])
-        _write(buf.getvalue(), args.out)
+    keys = ["row", "col", "re", "im"]
+    cells = [(r, c, rho[r, c].real, rho[r, c].imag) for r in range(2) for c in range(2)]
+    rows = ([r, c, _fmt(re), _fmt(im)] for r, c, re, im in cells)
+    _emit(args, keys, rows, {"entries": [dict(zip(keys, cell)) for cell in cells]})
 
 
 def _emit_grid(grid: ScanGrid, args: argparse.Namespace) -> None:
-    if args.format == "json":
-        payload = {
-            "axis1": grid.axis1_name,
-            "axis2": grid.axis2_name,
-            "axis1_values": [float(a) for a in grid.axis1],
-            "axis2_values": [float(b) for b in grid.axis2],
-            "reference_temperature": _jsonable(grid.reference_temperature),
-            "ratio": [[_jsonable(float(v)) for v in row] for row in grid.values],
-        }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["axis1", "axis2", "ratio"])
-        for i, a in enumerate(grid.axis1):
-            for j, b in enumerate(grid.axis2):
-                w.writerow([_fmt(a), _fmt(b), _fmt(grid.values[i, j])])
-        _write(buf.getvalue(), args.out)
+    def token(x: float) -> float | str:
+        # JSON has no infinity: write the CSV token "inf" / "-inf" as a string
+        return _fmt(x) if math.isinf(x) else x
+
+    axis1, axis2, values = grid.axis1.tolist(), grid.axis2.tolist(), grid.values.tolist()
+    rows = ([_fmt(a), _fmt(b), _fmt(v)] for a, vs in zip(axis1, values) for b, v in zip(axis2, vs))
+    payload = {
+        "axis1": grid.axis1_name,
+        "axis2": grid.axis2_name,
+        "axis1_values": axis1,
+        "axis2_values": axis2,
+        "reference_temperature": token(grid.reference_temperature),
+        "ratio": [[token(v) for v in row] for row in values],
+    }
+    _emit(args, ["axis1", "axis2", "ratio"], rows, payload)
 
 
 def _axis_arg(text: str) -> tuple[float, float, int]:
@@ -179,50 +161,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "ld":
-        coin = parse_coin(args.coin)
-        state = make_state(parse_state(args.init), args.nodes)
-        _emit_distribution(limiting_distribution(state, coin), args)
-        return 0
-
-    if args.command == "rdcm":
-        coin = parse_coin(args.coin)
-        state = make_state(parse_state(args.init), args.nodes)
-        _emit_matrix(asymptotic_reduced_density(state, coin), args)
-        return 0
-
-    if args.command == "simulate":
-        coin = build_coin(parse_coin(args.coin))
-        state = make_state(parse_state(args.init), args.nodes)
-        if args.reduce:
-            _emit_matrix(time_avg_reduced_density(state, coin, args.tmax), args)
-        else:
-            _emit_distribution(time_avg_distribution(state, coin, args.tmax), args)
-        return 0
-
-    if args.command == "temp":
-        unread = ("init", "theta") if args.scan == "bloch" else ("coin",)
-        passed = [f"--{name}" for name in unread if getattr(args, name) is not None]
-        if passed:
-            raise ValueError(f"temp --scan {args.scan} does not read {', '.join(passed)}")
-        if args.scan == "bloch":
-            grid = bloch_temperature_scan(
-                parse_coin("hadamard" if args.coin is None else args.coin),
-                args.nodes,
-                gamma_axis=args.axis1 or (0.0, math.pi, 101),
-                phi_axis=args.axis2 or (0.0, 2 * math.pi, 101),
-            )
-        else:
-            grid = coin_phase_temperature_scan(
-                parse_angle("pi/4" if args.theta is None else args.theta),
-                parse_state("local:0" if args.init is None else args.init),
-                args.nodes,
-                zeta_axis=args.axis1 or (-math.pi, math.pi, 101),
-                xi_axis=args.axis2 or (-math.pi, math.pi, 101),
-            )
-        _emit_grid(grid, args)
-        return 0
-
     if args.command == "verify":
         config = VerifyConfig(
             n_values=tuple(range(args.n_min, args.n_max + 1)),
@@ -233,11 +171,39 @@ def _dispatch(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         report = run_verification(config)
-        text = "\n".join(report.summary_lines()) + "\n"
-        _write(text, args.out)
+        _write("\n".join(report.summary_lines()) + "\n", args.out)
         return 0 if report.passed else 1
 
-    raise ValueError(f"unknown command {args.command!r}")
+    if args.command == "temp":
+        bloch = args.scan == "bloch"
+        unread = ("init", "theta") if bloch else ("coin",)
+        passed = [f"--{name}" for name in unread if getattr(args, name) is not None]
+        if passed:
+            raise ValueError(f"temp --scan {args.scan} does not read {', '.join(passed)}")
+        # only the axes the user set; the scan's signature holds the defaults
+        names = ("gamma_axis", "phi_axis") if bloch else ("zeta_axis", "xi_axis")
+        axes = {k: v for k, v in zip(names, (args.axis1, args.axis2)) if v is not None}
+        if bloch:
+            coin = parse_coin("hadamard" if args.coin is None else args.coin)
+            grid = bloch_temperature_scan(coin, args.nodes, **axes)
+        else:
+            theta = parse_angle("pi/4" if args.theta is None else args.theta)
+            initial = parse_state("local:0" if args.init is None else args.init)
+            grid = coin_phase_temperature_scan(theta, initial, args.nodes, **axes)
+        _emit_grid(grid, args)
+        return 0
+
+    coin = parse_coin(args.coin)
+    state = make_state(parse_state(args.init), args.nodes)
+    if args.command == "ld":
+        _emit_distribution(limiting_distribution(state, coin), args)
+    elif args.command == "rdcm":
+        _emit_matrix(asymptotic_reduced_density(state, coin), args)
+    elif args.reduce:
+        _emit_matrix(time_avg_reduced_density(state, build_coin(coin), args.tmax), args)
+    else:
+        _emit_distribution(time_avg_distribution(state, build_coin(coin), args.tmax), args)
+    return 0
 
 
 if __name__ == "__main__":

@@ -122,40 +122,44 @@ class Raw:
 InitialStateSpec = Union[Local, Bloch, EntangledPair, SeparablePair, Raw]
 
 
+def _node(j: float, n: int, pair: bool = False) -> int:
+    """``j`` as a node index in [0, N), or as the offset p in (0, N) of a pair
+    state: the one rule for every index of a spec, so that 2.5 or NaN raise a
+    ValueError that names them instead of numpy's IndexError."""
+    if pair and not 0 < j < n:
+        raise ValueError(f"pair offset p={j} must satisfy 0 < p < N={n}")
+    if not 0 <= j < n:
+        raise ValueError(f"node {j} out of range for N={n}")
+    return _whole(j, int(pair), "pair offset p" if pair else "node index")
+
+
 def make_state(spec: InitialStateSpec, n_nodes: int) -> WalkState:
     """Build a normalized WalkState from a spec on an ``n_nodes``-cycle."""
     n = _whole(n_nodes, 2, "n_nodes")
     grid = np.zeros((2, n), dtype=np.complex128)
     if isinstance(spec, Local):
-        if not 0 <= spec.j < n:
-            raise ValueError(f"node {spec.j} out of range for N={n}")
+        j = _node(spec.j, n)
         nrm = math.hypot(abs(spec.c0), abs(spec.c1))
         if nrm == 0.0:
             raise ValueError("local coin spinor must be nonzero")
-        grid[0, spec.j] = spec.c0 / nrm
-        grid[1, spec.j] = spec.c1 / nrm
+        grid[0, j] = spec.c0 / nrm
+        grid[1, j] = spec.c1 / nrm
     elif isinstance(spec, Bloch):
-        if not 0 <= spec.j < n:
-            raise ValueError(f"node {spec.j} out of range for N={n}")
-        grid[0, spec.j] = math.cos(spec.gamma / 2)
-        grid[1, spec.j] = cmath.exp(1j * spec.phi) * math.sin(spec.gamma / 2)
-    elif isinstance(spec, EntangledPair):
-        if not 0 < spec.p < n:
-            raise ValueError(f"pair offset p={spec.p} must satisfy 0 < p < N={n}")
-        grid[0, 0] = 1 / math.sqrt(2)
-        grid[1, spec.p] = 1 / math.sqrt(2)
-    elif isinstance(spec, SeparablePair):
-        if not 0 < spec.p < n:
-            raise ValueError(f"pair offset p={spec.p} must satisfy 0 < p < N={n}")
-        grid[0, 0] = 1 / math.sqrt(2)
-        grid[0, spec.p] = 1 / math.sqrt(2)
+        j = _node(spec.j, n)
+        grid[0, j] = math.cos(spec.gamma / 2)
+        grid[1, j] = cmath.exp(1j * spec.phi) * math.sin(spec.gamma / 2)
+    elif isinstance(spec, (EntangledPair, SeparablePair)):
+        p = _node(spec.p, n, pair=True)
+        coin = 1 if isinstance(spec, EntangledPair) else 0  # of the |p> term
+        grid[0, 0] = grid[coin, p] = 1 / math.sqrt(2)
     elif isinstance(spec, Raw):
         for s, j, re, im in spec.entries:
             if s not in (0, 1):
                 raise ValueError(f"chirality index must be 0 or 1, got {s}")
-            if not 0 <= j < n:
-                raise ValueError(f"node {j} out of range for N={n}")
-            grid[s, j] += complex(re, im)
+            j = _node(j, n)
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ValueError(f"raw amplitude at s={s}, j={j} must be finite, got {re}, {im}")
+            grid[int(s), j] += complex(re, im)
         nrm = float(np.linalg.norm(grid))
         if nrm < 1e-15:
             raise ValueError("raw amplitudes sum to the zero vector")

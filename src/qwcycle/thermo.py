@@ -8,8 +8,8 @@ eigenvalues (lambda1 >= lambda2, lambda1 + lambda2 = 1):
 A maximally mixed coin (lambda1 = lambda2) is infinitely hot; a pure coin
 (lambda2 = 0) is at absolute zero.  E0 is an unknown positive energy scale of
 the underlying equilibrium picture; every quantity of interest here is the
-ratio T/T0 against a reference temperature, which cancels E0, so the scans
-report T0 in units of E0.
+ratio T/T0 against a reference temperature, which cancels E0, so every
+temperature in this module is reported in units of E0.
 
 Two scan drivers map the temperature landscape:
 
@@ -77,15 +77,11 @@ def _temperatures(rho: NDArray[np.complex128]) -> tuple[NDArray[np.float64], ...
     return l1, l2, np.select([l1 - l2 <= _MIXED_GAP_TOL, l2 <= _PURE_TOL], [math.inf, 0.0], temp)
 
 
-def entanglement_temperature(
-    rho_c: NDArray[np.complex128], e0: float = 1.0
-) -> TemperatureResult:
-    """Temperature of a 2x2 coin density matrix; T = 2 e0 / ln(l1/l2)."""
-    if not (math.isfinite(e0) and e0 > 0):
-        raise ValueError(f"e0 must be finite and positive, got {e0}")
+def entanglement_temperature(rho_c: NDArray[np.complex128]) -> TemperatureResult:
+    """Temperature of a 2x2 coin density matrix; T = 2 / ln(l1/l2) in units of E0."""
     check_reduced_density(rho_c, tol=1e-8)
     l1, l2, temp = _temperatures(np.asarray(rho_c))
-    return TemperatureResult(lambda1=float(l1), lambda2=float(l2), temperature=e0 * float(temp))
+    return TemperatureResult(lambda1=float(l1), lambda2=float(l2), temperature=float(temp))
 
 
 def temperature_ratio(t, t0):

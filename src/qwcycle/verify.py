@@ -71,7 +71,7 @@ class CaseResult:
     worst_rho_coin: CoinParams
     # worst density-matrix validity defect (hermiticity / trace-1 / negative
     # eigenvalue) over both the closed-form and oracle matrices
-    max_density_defect: float = 0.0
+    max_density_defect: float
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,24 @@ def test_temp_bloch_default_axes(capsys):
     assert len(out.splitlines()) == 17
 
 
+@pytest.mark.parametrize(
+    "args, sizes, spans",
+    [
+        (["temp", "-N", "10", "--axis2=0:pi:4"], (101, 4), (math.pi, math.pi)),
+        (["temp", "-N", "10", "--scan", "phases", "--axis1=-pi:pi:3"], (3, 101), (2 * math.pi,) * 2),
+    ],
+)
+def test_temp_one_axis_keeps_the_other_default(args, sizes, spans, capsys):
+    # an unset axis keeps the scan's default: 101 points over the full range
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    rows = np.array([[float(x) for x in r] for r in list(csv.reader(io.StringIO(out)))[1:]])
+    assert len(rows) == sizes[0] * sizes[1]
+    for column, size, span in zip(rows[:, :2].T, sizes, spans):
+        axis = np.unique(column)
+        assert axis.size == size and axis[-1] - axis[0] == span
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "ld.csv"
     code, out = run_cli(["ld", "-N", "4", "--out", str(target)], capsys)
@@ -198,6 +216,7 @@ def test_verify_pass_and_fail_exit_codes(capsys):
         ["verify", "--n-min", "3", "--n-max", "3", "--coins", "1", "--tmax", "100", "--tol", "nan"],
         ["temp", "-N", "6", "--scan", "bloch", "--init", "local:3", "--theta", "1"],
         ["temp", "-N", "6", "--scan", "phases", "--coin", "diaz:pi/3"],
+        ["temp", "-N", "6", "--coin", "", "--axis1=0:pi:2", "--axis2=0:pi:2"],
     ],
 )
 def test_invalid_configuration_exits_2(args, capsys):

@@ -74,7 +74,7 @@ def test_pair_states():
     assert np.count_nonzero(sep[1]) == 0
 
 
-@pytest.mark.parametrize("p", [0, 10, -1])
+@pytest.mark.parametrize("p", [0, 10, -1, 1.5, math.nan])
 def test_pair_offset_range(p):
     with pytest.raises(ValueError):
         make_state(EntangledPair(p=p), 10)
@@ -97,6 +97,14 @@ def test_raw_rejects_zero_and_bad_indices():
         make_state(Raw(entries=((2, 0, 1.0, 0.0),)), 4)
     with pytest.raises(ValueError):
         make_state(Raw(entries=((0, 9, 1.0, 0.0),)), 4)
+    # a fractional node index names itself instead of failing inside numpy
+    for spec in (Raw(entries=((0, 2.5, 1.0, 0.0),)), Local(j=2.5), Bloch(1.0, 0.0, j=2.5)):
+        with pytest.raises(ValueError, match="2.5"):
+            make_state(spec, 4)
+    # a non-finite amplitude fails before the norm divides by it
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make_state(Raw(entries=((0, 1, 1.0, 0.0), (1, 2, 0.0, bad))), 4)
 
 
 def test_make_state_rejects_tiny_cycle():

@@ -1,6 +1,7 @@
 """The package surface: what ``qwcycle`` exports, and what the benchmark reads."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import qwcycle
@@ -39,6 +40,34 @@ BENCH_NAMES = [
     "limiting_distribution",
     "make_state",
     "run_verification",
+]
+
+# bench/tracing.py WRAPPED wraps these (module, attribute) pairs for the traced
+# run, which skips a missing one; listed here so that a rename fails this test
+# instead of reading 0 for that layer
+TRACED_NAMES = [
+    ("qwcycle", "limiting_distribution"),
+    ("qwcycle", "asymptotic_reduced_density"),
+    ("qwcycle", "bloch_temperature_scan"),
+    ("qwcycle", "coin_phase_temperature_scan"),
+    ("qwcycle", "run_verification"),
+    ("qwcycle.cli", "main"),
+    ("qwcycle.cli", "parse_state"),
+    ("qwcycle.cli", "limiting_distribution"),
+    ("qwcycle.cli", "asymptotic_reduced_density"),
+    ("qwcycle.cli", "bloch_temperature_scan"),
+    ("qwcycle.cli", "coin_phase_temperature_scan"),
+    ("qwcycle.cli", "time_avg_distribution"),
+    ("qwcycle.cli", "time_avg_reduced_density"),
+    ("qwcycle.cli", "check_distribution"),
+    ("qwcycle.cli", "check_reduced_density"),
+    ("qwcycle.verify", "limiting_distribution"),
+    ("qwcycle.verify", "asymptotic_reduced_density"),
+    ("qwcycle.thermo", "asymptotic_reduced_density"),
+    ("qwcycle.thermo", "momentum_spinors"),
+    ("qwcycle.asymptotics", "momentum_spinors"),
+    ("qwcycle.asymptotics", "check_distribution"),
+    ("qwcycle.asymptotics", "check_reduced_density"),
 ]
 
 
@@ -80,3 +109,8 @@ def test_benchmark_surface_resolves():
     coin = qwcycle.hadamard_params()
     assert len(qwcycle.solve_all_blocks(coin, 6)) == 6
     assert len(qwcycle.degeneracy_table(coin, 6).cross_pairs()) == 6
+
+
+def test_traced_surface_resolves():
+    for module, name in TRACED_NAMES:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)

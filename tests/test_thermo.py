@@ -38,17 +38,7 @@ def test_temperature_reference_points():
     assert abs(t - 2.0 / math.log(3.0)) < 1e-14
 
 
-def test_temperature_scales_with_e0():
-    rho = np.diag([0.7, 0.3])
-    t1 = entanglement_temperature(rho, e0=1.0).temperature
-    t3 = entanglement_temperature(rho, e0=3.0).temperature
-    assert abs(t3 - 3.0 * t1) < 1e-12
-
-
 def test_temperature_input_validation():
-    for e0 in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            entanglement_temperature(np.diag([0.7, 0.3]), e0=e0)
     with pytest.raises(ValueError):
         entanglement_temperature(np.eye(3) / 3)
     with pytest.raises(ValueError):
