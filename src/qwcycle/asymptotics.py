@@ -2,11 +2,12 @@
 
 Time-averaging projects the initial state onto each group of coinciding
 eigenphases (``spectral.group_eigenphases``) and drops the coherences between
-groups.  Both observables, and the temperature scans, read one projection of
-the sector spinors psi_k onto the arrays of ``spectral.spectrum``,
-``_sector_parts`` (p_k^i = <v_k^i|psi_k> v_k^i; a scalar block passes psi_k
-whole).  This evaluates the paper's characteristic-matrix sums over M(k, k')
-and Theta(k, k'), which ``qwcycle.reference`` keeps literally.
+groups.  Both observables, and through ``_coin_gram`` the temperature scans,
+read one projection of the sector spinors psi_k onto the arrays of
+``spectral.spectrum``, ``_sector_parts`` (p_k^i = <v_k^i|psi_k> v_k^i; a
+scalar block passes psi_k whole).  This evaluates the paper's
+characteristic-matrix sums over M(k, k') and Theta(k, k'), which
+``qwcycle.reference`` keeps literally.
 """
 
 from __future__ import annotations
@@ -35,17 +36,19 @@ def _sector_parts(spec: Spectrum, psis: NDArray[np.complex128]) -> NDArray[np.co
     return np.where(spec.scalar[..., None, None], whole, parts)
 
 
-def _coin_density(spec: Spectrum, psis: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """rho_c = sum_{k,i} p_k^i p_k^i^dag (..., 2, 2): by Parseval the trace over
-    position keeps only the terms within one block and one zone."""
-    parts = _sector_parts(spec, psis)
-    return np.einsum("...kia,...kib->...ab", parts, parts.conj())
+def _coin_gram(spec: Spectrum, basis: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """G[..., a, b] = sum_{k,i} p_k^i(basis_a) p_k^i(basis_b)^dag (..., A, A, 2, 2)
+    for spinor sets basis (A, ..., N, 2).  The coin density of the spinors
+    sum_a c_a basis_a is sum_{a,b} c_a conj(c_b) G[a, b]: by Parseval the trace
+    over position keeps only the terms within one block and one zone."""
+    parts = _sector_parts(spec, basis)
+    return np.einsum("a...kic,b...kid->...abcd", parts, parts.conj())
 
 
 def asymptotic_reduced_density(state0: WalkState, coin: CoinParams) -> NDArray[np.complex128]:
     """Infinite-time-averaged coin density matrix rho_c = sum_k Theta(k, k)."""
     spec = spectrum(state0.n_nodes, *astuple(coin))
-    rho = _coin_density(spec, momentum_spinors(state0).T)
+    rho = _coin_gram(spec, momentum_spinors(state0).T[None])[0, 0]
     check_reduced_density(rho)
     return rho
 

@@ -90,13 +90,12 @@ def block(k: int, coin: CoinParams, n_nodes: int) -> NDArray[np.complex128]:
     return phase @ build_coin(coin)
 
 
-def _eigvec(a: complex, b: complex, c: complex, d: complex, mu: complex) -> NDArray[np.complex128]:
-    v1 = np.array([b, mu - a], dtype=np.complex128)
-    v2 = np.array([mu - d, c], dtype=np.complex128)
-    n1 = abs(v1[0]) ** 2 + abs(v1[1]) ** 2
-    n2 = abs(v2[0]) ** 2 + abs(v2[1]) ** 2
-    v = v1 if n1 >= n2 else v2
-    return v / math.sqrt(max(n1, n2))
+def _eigvec(
+    a: complex, b: complex, c: complex, d: complex, mu: complex, first: bool
+) -> NDArray[np.complex128]:
+    """The column (b, mu - a) of adj(mu I - B_k) if ``first``, else (mu - d, c), normalized."""
+    v = np.array([b, mu - a] if first else [mu - d, c], dtype=np.complex128)
+    return v / math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
 
 
 def solve_block(k: int, coin: CoinParams, n_nodes: int) -> KBlock:
@@ -105,7 +104,8 @@ def solve_block(k: int, coin: CoinParams, n_nodes: int) -> KBlock:
         raise ValueError(f"k={k} out of range for N={n_nodes}")
     w = 2.0 * math.pi * k / n_nodes
     cos_t = math.cos(coin.theta)
-    sin_alpha = math.hypot(math.sin(coin.theta), cos_t * math.sin(w - coin.zeta))
+    lean = cos_t * math.sin(w - coin.zeta)
+    sin_alpha = math.hypot(math.sin(coin.theta), lean)
     alpha = math.atan2(sin_alpha, cos_t * math.cos(w - coin.zeta))
     eta_phase = cmath.exp(0.5j * coin.eta)
     lam_i = eta_phase * cmath.exp(1j * alpha)
@@ -118,10 +118,11 @@ def solve_block(k: int, coin: CoinParams, n_nodes: int) -> KBlock:
         b = cmath.exp(1j * (coin.xi - w)) * math.sin(coin.theta)
         c = -b.conjugate()
         d = a.conjugate()
+        # the larger of the two columns, by the sign rule s cos(theta) sin(zeta - w) <= 0
         vectors = np.column_stack(
             [
-                _eigvec(a, b, c, d, cmath.exp(1j * alpha)),
-                _eigvec(a, b, c, d, cmath.exp(-1j * alpha)),
+                _eigvec(a, b, c, d, cmath.exp(1j * alpha), lean >= 0.0),
+                _eigvec(a, b, c, d, cmath.exp(-1j * alpha), -lean >= 0.0),
             ]
         )
     return KBlock(
@@ -290,17 +291,17 @@ def hadamard_local_ld(n_nodes: int, t: int = 0) -> NDArray[np.float64]:
     return probs
 
 
-def apply_shift(state: WalkState) -> WalkState:
-    """Conditional shift: s=0 moves +1 node, s=1 moves -1 node (mod N)."""
-    grid = state.as_grid()
-    return WalkState.from_grid(
-        np.stack([np.roll(grid[0], 1), np.roll(grid[1], -1)])
-    )
+def apply_shift(grid: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Conditional shift of a (2, N) grid: s=0 moves +1 node, s=1 moves -1 node
+    (mod N)."""
+    return np.stack([np.roll(grid[0], 1), np.roll(grid[1], -1)])
 
 
-def step(state: WalkState, coin: NDArray[np.complex128]) -> WalkState:
-    """One walk step: coin on chirality, then the conditional shift."""
-    return apply_shift(WalkState.from_grid(coin @ state.as_grid()))
+def step(grid: NDArray[np.complex128], coin: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """One walk step of a (2, N) grid: coin on chirality, then the conditional
+    shift.  Takes and returns bare amplitudes, so that no normalization check
+    trips on the rounding drift of a long run."""
+    return apply_shift(coin @ grid)
 
 
 def time_avg_density(
@@ -309,12 +310,10 @@ def time_avg_density(
     """(1/t_max) sum_{t=1..t_max} |psi(t)><psi(t)|, streamed (never stores the
     trajectory).  2N x 2N, Hermitian, trace 1."""
     steps = _whole(t_max, 1, "t_max")
-    grid = state0.as_grid().copy()
+    grid = state0.as_grid()
     acc = np.zeros((2 * state0.n_nodes,) * 2, dtype=np.complex128)
     for _ in range(steps):
-        grid = coin @ grid
-        grid[0] = np.roll(grid[0], 1)
-        grid[1] = np.roll(grid[1], -1)
+        grid = step(grid, coin)
         flat = grid.reshape(-1)
         acc += np.outer(flat, flat.conj())
     acc /= t_max

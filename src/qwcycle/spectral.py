@@ -22,8 +22,13 @@ of adj(mu I - B_k) are eigenvectors for eigenvalue mu; we take whichever of
 v1 = (B, mu - A) and v2 = (mu - D, C) has the larger norm.  Since
 (mu - A) + (mu - D) = 2 i sin(alpha) mu' for a unimodular mu', the larger norm
 is at least |sin alpha|, so the construction is well-conditioned whenever the
-block is not scalar.  ``spectrum`` builds it as arrays over k (and any coin
-axes).
+block is not scalar.  |v1| >= |v2| reduces exactly to the sign rule
+s cos(theta) sin(zeta - w) <= 0, with s = +1 in zone I and -1 in zone II,
+which is what decides: comparing two rounded norms would break their ties by
+rounding.  A is formed from the same cos(w - zeta) and sin(w - zeta) as
+alpha rather than as a product of two rounded exponentials, whose extra
+rounding mu - A would amplify near a scalar block.  ``spectrum`` builds it as
+arrays over k (and any coin axes).
 """
 
 from __future__ import annotations
@@ -54,18 +59,20 @@ def spectrum(n_nodes: int, theta, zeta, xi, eta=0.0) -> Spectrum:
     theta, zeta, xi, eta = (x[..., None] for x in np.broadcast_arrays(theta, zeta, xi, eta))
     w = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    alpha = np.arctan2(np.hypot(sin_t, cos_t * np.sin(w - zeta)), cos_t * np.cos(w - zeta))
+    turn = np.cos(w - zeta) - 1j * np.sin(w - zeta)  # e^{i(zeta - w)}
+    lean = -cos_t * turn.imag  # = -cos(theta) sin(zeta - w)
+    alpha = np.arctan2(np.hypot(sin_t, lean), cos_t * turn.real)
     scalar = 2.0 * np.minimum(alpha, np.pi - alpha) <= DEGENERACY_TOL
 
-    shift = np.exp(-1j * w)
-    a = (np.exp(1j * zeta) * shift * cos_t)[..., None]
-    b = (np.exp(1j * xi) * shift * sin_t)[..., None]
+    a = (cos_t * turn)[..., None]
+    b = (np.exp(1j * (xi - zeta)) * sin_t * turn)[..., None]
     mu = np.exp(1j * alpha[..., None] * [1.0, -1.0])  # (..., N, zone)
     v1 = np.stack(np.broadcast_arrays(b, mu - a), axis=-2)  # (..., N, comp, zone)
     v2 = np.stack(np.broadcast_arrays(mu - np.conj(a), -np.conj(b)), axis=-2)
-    n1, n2 = ((np.abs(v) ** 2).sum(axis=-2) for v in (v1, v2))
-    norm = np.sqrt(np.where(scalar[..., None], 1.0, np.maximum(n1, n2)))
-    vectors = np.where((n1 >= n2)[..., None, :], v1, v2) / norm[..., None, :]
+    pick = lean[..., None] * [1.0, -1.0] >= 0.0  # the sign rule: v1 is the larger
+    v = np.where(pick[..., None, :], v1, v2)
+    norm = np.sqrt(np.where(scalar[..., None], 1.0, (np.abs(v) ** 2).sum(axis=-2)))
+    vectors = v / norm[..., None, :]
     vectors[scalar] = np.eye(2)
 
     return Spectrum(np.angle(np.exp(0.5j * eta)[..., None] * mu), vectors, scalar)

@@ -139,6 +139,8 @@ def make_state(spec: InitialStateSpec, n_nodes: int) -> WalkState:
     grid = np.zeros((2, n), dtype=np.complex128)
     if isinstance(spec, Local):
         j = _node(spec.j, n)
+        if not (cmath.isfinite(spec.c0) and cmath.isfinite(spec.c1)):
+            raise ValueError(f"local coin spinor must be finite, got ({spec.c0}, {spec.c1})")
         nrm = math.hypot(abs(spec.c0), abs(spec.c1))
         if nrm == 0.0:
             raise ValueError("local coin spinor must be nonzero")
@@ -146,6 +148,8 @@ def make_state(spec: InitialStateSpec, n_nodes: int) -> WalkState:
         grid[1, j] = spec.c1 / nrm
     elif isinstance(spec, Bloch):
         j = _node(spec.j, n)
+        if not (math.isfinite(spec.gamma) and math.isfinite(spec.phi)):
+            raise ValueError(f"Bloch angles must be finite, got gamma={spec.gamma}, phi={spec.phi}")
         grid[0, j] = math.cos(spec.gamma / 2)
         grid[1, j] = cmath.exp(1j * spec.phi) * math.sin(spec.gamma / 2)
     elif isinstance(spec, (EntangledPair, SeparablePair)):
@@ -160,10 +164,13 @@ def make_state(spec: InitialStateSpec, n_nodes: int) -> WalkState:
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise ValueError(f"raw amplitude at s={s}, j={j} must be finite, got {re}, {im}")
             grid[int(s), j] += complex(re, im)
-        nrm = float(np.linalg.norm(grid))
-        if nrm < 1e-15:
+        # scaled by the largest |amplitude| first, so that the squares in the
+        # norm neither overflow nor underflow
+        scale = np.abs(grid).max()
+        if scale == 0.0:
             raise ValueError("raw amplitudes sum to the zero vector")
-        grid /= nrm
+        grid /= scale
+        grid /= np.linalg.norm(grid)
     else:
         raise TypeError(f"unknown initial-state spec {spec!r}")
     return WalkState.from_grid(grid)

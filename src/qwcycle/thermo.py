@@ -20,9 +20,12 @@ Two scan drivers map the temperature landscape:
     under the Hadamard coin (the scan measures what the extra phases do, so
     its natural baseline is the phase choice the Hadamard coin makes).
 
-Both scans project onto ``spectral.spectrum`` through the one projection the
-closed forms use, ``asymptotics._sector_parts``: one spectrum per zeta row for
-the phase scan, one in all for the Bloch scan, and temperatures as arrays.
+Both scans solve one ``spectral.spectrum`` into the coin Gram matrix of two
+spinors (``asymptotics._coin_gram``); each grid point is one pair c of their
+coefficients.  The phase scan solves only xi = 0, because xi is a gauge:
+D = diag(e^{i xi/2}, e^{-i xi/2}) commutes with the shift and
+Gamma(theta, zeta, xi) = D Gamma(theta, zeta, 0) D^dag, so rho_c(xi; psi) =
+D rho_c(0; D^dag psi) D^dag has the eigenvalues of rho_c(0; D^dag psi).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .asymptotics import _coin_density, asymptotic_reduced_density
+from .asymptotics import _coin_gram, asymptotic_reduced_density
 from .coin import CoinParams, hadamard_params
 from .evolution import check_reduced_density
 from .spectral import spectrum
@@ -53,8 +56,6 @@ __all__ = [
 _MIXED_GAP_TOL = 1e-13
 # lambda2 at or below this means "pure": T = 0.
 _PURE_TOL = 1e-14
-# |0>, |1>, |+>, |+i>: their projectors are a real basis of the Hermitian 2x2 matrices
-_BASIS = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]]) / np.sqrt([1, 1, 2, 2])[:, None]
 
 
 @dataclass(frozen=True)
@@ -66,21 +67,37 @@ class TemperatureResult:
     temperature: float
 
 
-def _temperatures(rho: NDArray[np.complex128]) -> tuple[NDArray[np.float64], ...]:
-    """lambda1 >= lambda2 and T = 2 / ln(lambda1/lambda2) (units of E0) of
-    Hermitian 2x2 matrices (..., 2, 2), from the closed form mean +/- radius."""
-    mean = 0.5 * (rho[..., 0, 0].real + rho[..., 1, 1].real)
-    radius = np.hypot(0.5 * (rho[..., 0, 0].real - rho[..., 1, 1].real), np.abs(rho[..., 0, 1]))
+def _temperatures(d0, d1, off) -> tuple[NDArray[np.float64], ...]:
+    """lambda1 >= lambda2 and T = 2 / ln(lambda1/lambda2) (units of E0) of the
+    Hermitian 2x2 matrices with diagonals d0, d1 and |off-diagonal| off, from
+    the closed form mean +/- radius."""
+    mean = 0.5 * (d0 + d1)
+    radius = np.hypot(0.5 * (d0 - d1), off)
     l1, l2 = mean + radius, np.maximum(mean - radius, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         temp = 2.0 / np.log(l1 / l2)
     return l1, l2, np.select([l1 - l2 <= _MIXED_GAP_TOL, l2 <= _PURE_TOL], [math.inf, 0.0], temp)
 
 
+def _scan_temperatures(spec, basis, c) -> NDArray[np.float64]:
+    """Temperatures of the coin densities sum_{a,b} c_a conj(c_b) G[a, b] of the
+    Gram G of ``basis`` (2, ..., N, 2), one per column of c (2, P): the real
+    weights (|c0|^2, |c1|^2, Re c0 c1*, -Im c0 c1*) against the Hermitian
+    images (G00, G11, G01 + G10, i (G10 - G01)), shaped (..., P)."""
+    (g00, g01), (g10, g11) = np.moveaxis(_coin_gram(spec, basis), (-4, -3), (0, 1))
+    images = np.stack([g00, g11, g01 + g10, 1j * (g10 - g01)], axis=-3)
+    entries = np.stack([images[..., 0, 0], images[..., 1, 1], images[..., 0, 1]], -1).view(float)
+    cross = c[0] * c[1].conj()
+    weights = np.stack([np.abs(c[0]) ** 2, np.abs(c[1]) ** 2, cross.real, -cross.imag])
+    d0, _, d1, _, re, im = np.moveaxis(weights.T @ entries, -1, 0)
+    return _temperatures(d0, d1, np.hypot(re, im))[2]
+
+
 def entanglement_temperature(rho_c: NDArray[np.complex128]) -> TemperatureResult:
     """Temperature of a 2x2 coin density matrix; T = 2 / ln(l1/l2) in units of E0."""
     check_reduced_density(rho_c, tol=1e-8)
-    l1, l2, temp = _temperatures(np.asarray(rho_c))
+    rho = np.asarray(rho_c)
+    l1, l2, temp = _temperatures(rho[0, 0].real, rho[1, 1].real, abs(rho[0, 1]))
     return TemperatureResult(lambda1=float(l1), lambda2=float(l2), temperature=float(temp))
 
 
@@ -113,10 +130,6 @@ def _axis(spec: tuple[float, float, int]) -> NDArray[np.float64]:
     return np.linspace(start, stop, num)
 
 
-# ---------------------------------------------------------------------------
-# scan drivers
-# ---------------------------------------------------------------------------
-
 def bloch_temperature_scan(
     coin: CoinParams,
     n_nodes: int,
@@ -128,28 +141,17 @@ def bloch_temperature_scan(
     T0 is the temperature of the (gamma=pi, phi=0) state under the same coin.
     """
     n = _whole(n_nodes, 2, "n_nodes")
-    gammas = _axis(gamma_axis)
-    phis = _axis(phi_axis)
+    gammas, phis = _axis(gamma_axis), _axis(phi_axis)
 
-    # a local state at node 0 has psi_k = chi / sqrt(N) in every sector, so rho_c
-    # is one real-linear map of chi chi^dag: take its images of the basis states
-    image = _coin_density(spectrum(n, *astuple(coin)), _BASIS[:, None] / math.sqrt(n))
-    # the reference (pi, 0) rides along as point 0, computed like every other
+    # a local state at node 0 has psi_k = chi / sqrt(N) in every sector: chi on
+    # the basis e_a / sqrt(N); the reference (pi, 0) rides along as point 0
     g = np.concatenate([[math.pi], np.repeat(gammas, phis.size)])
-    p = np.concatenate([[0.0], np.tile(phis, gammas.size)])
-    # chi chi^dag = (I + x X + y Y + z Z) / 2 for the Bloch vector (x, y, z)
-    x, y, z = np.sin(g) * np.cos(p), np.sin(g) * np.sin(p), np.cos(g)
-    coords = np.stack([1 + z - x - y, 1 - z - x - y, 2 * x, 2 * y]) / 2
-    temps = _temperatures(np.einsum("mp,mab->pab", coords, image))[2]
+    phase = np.concatenate([[1.0], np.tile(np.exp(1j * phis), gammas.size)])  # e^{i phi}
+    chi = np.stack([np.cos(g / 2), phase * np.sin(g / 2)])
+    basis = np.broadcast_to(np.eye(2)[:, None] / math.sqrt(n), (2, n, 2))
+    temps = _scan_temperatures(spectrum(n, *astuple(coin)), basis, chi)
     values = temperature_ratio(temps[1:], temps[0]).reshape(gammas.size, phis.size)
-    return ScanGrid(
-        axis1_name="gamma",
-        axis2_name="phi",
-        axis1=gammas,
-        axis2=phis,
-        values=values,
-        reference_temperature=float(temps[0]),
-    )
+    return ScanGrid("gamma", "phi", gammas, phis, values, reference_temperature=float(temps[0]))
 
 
 def coin_phase_temperature_scan(
@@ -173,18 +175,12 @@ def coin_phase_temperature_scan(
     state = initial if isinstance(initial, WalkState) else make_state(initial, n)
     if state.n_nodes != n:
         raise ValueError(f"state lives on N={state.n_nodes}, not N={n}")
-    zetas = _axis(zeta_axis)
-    xis = _axis(xi_axis)
+    zetas, xis = _axis(zeta_axis), _axis(xi_axis)
 
-    t0 = float(_temperatures(asymptotic_reduced_density(state, hadamard_params()))[2])
-    psis = momentum_spinors(state).T  # (N, 2); independent of the coin
-    rhos = np.stack([_coin_density(spectrum(n, theta, z, xis), psis) for z in zetas])
-    values = temperature_ratio(_temperatures(rhos)[2], t0)
-    return ScanGrid(
-        axis1_name="zeta",
-        axis2_name="xi",
-        axis1=zetas,
-        axis2=xis,
-        values=values,
-        reference_temperature=t0,
-    )
+    t0 = entanglement_temperature(asymptotic_reduced_density(state, hadamard_params())).temperature
+    # D(xi)^dag psi_k = sum_a c_a psi_{k,a} e_a with c = D(xi)^dag (1, 1)
+    psis = momentum_spinors(state)  # (2, N); independent of the coin
+    basis = psis[:, None, :, None] * np.eye(2)[:, None, None]
+    c = np.exp(0.5j * np.outer([-1.0, 1.0], xis))
+    values = temperature_ratio(_scan_temperatures(spectrum(n, theta, zetas, 0.0), basis, c), t0)
+    return ScanGrid("zeta", "xi", zetas, xis, values, reference_temperature=t0)

@@ -223,6 +223,11 @@ def test_invalid_configuration_exits_2(args, capsys):
     assert main(args) == 2
 
 
+def test_non_finite_local_spinor_is_named(capsys):
+    assert main(["ld", "-N", "6", "--init", "local:0,nan,0,0,0"]) == 2
+    assert "local coin spinor must be finite, got ((nan+0j), 0j)" in capsys.readouterr().err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qwcycle.cli", "ld", "-N", "4"],

@@ -107,6 +107,27 @@ def test_raw_rejects_zero_and_bad_indices():
             make_state(Raw(entries=((0, 1, 1.0, 0.0), (1, 2, 0.0, bad))), 4)
 
 
+def test_raw_normalizes_extreme_magnitudes():
+    # scaled by the largest amplitude before the norm squares anything: 1e300
+    # does not overflow, and 1e-200 is a direction rather than the zero vector
+    grid = make_state(Raw(entries=((0, 0, 1e300, 0.0), (1, 0, 1e300, 0.0))), 4).as_grid()
+    assert np.abs(grid[:, 0] - 1 / math.sqrt(2)).max() < 1e-15
+    grid = make_state(Raw(entries=((0, 1, 1e-200, 0.0),)), 4).as_grid()
+    assert grid[0, 1] == 1.0 and np.count_nonzero(grid) == 1
+
+
+def test_local_and_bloch_name_non_finite_values():
+    bad = (
+        Local(0, math.nan, 0.0),
+        Local(1, 1.0, complex(0.0, math.inf)),
+        Bloch(math.nan, 0.0),
+        Bloch(1.0, math.inf),
+    )
+    for spec in bad:
+        with pytest.raises(ValueError, match="must be finite"):
+            make_state(spec, 4)
+
+
 def test_make_state_rejects_tiny_cycle():
     for n in (1, 8.7):  # 8.7 used to build N = 8
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qwcycle.coin import CoinParams, hadamard_params
 from qwcycle.asymptotics import asymptotic_reduced_density
+from qwcycle.spectral import spectrum
 from qwcycle.state import Bloch, Local, WalkState, make_state
 from qwcycle.thermo import (
     bloch_temperature_scan,
@@ -69,11 +70,12 @@ def _assert_close(got, want):
     assert got == want or abs(got - want) <= 1e-13 * max(1.0, abs(want)), (got, want)
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.45, 1.1])
+@pytest.mark.parametrize("theta", [0.0, 1e-11, 0.45, 1.1, math.pi / 2])
 def test_scans_match_per_point_density(rng, theta):
     # every grid point of both scans, and T0, against per-point
     # asymptotic_reduced_density; at theta = 0, zeta on the 2 pi/N grid puts
-    # scalar blocks on the k-axis
+    # scalar blocks on the k-axis, theta = 1e-11 puts near-scalar ones there,
+    # and at theta = pi/2 every block shares its eigenvalues with every other
     n = 8
     coin = CoinParams(theta, 2 * math.pi * 3 / n, rng.uniform(-math.pi, math.pi), 0.4)
     bloch = bloch_temperature_scan(coin, n, (0.0, math.pi, 5), (0.0, 2 * math.pi, 6))
@@ -94,6 +96,23 @@ def test_scans_match_per_point_density(rng, theta):
         for j, xi in enumerate(phases.axis2):
             t = _temperature(state, CoinParams(theta, zeta, xi))
             _assert_close(phases.values[i, j], temperature_ratio(t, t0))
+
+
+def test_scans_take_one_spectrum(monkeypatch):
+    # the phase scan solves only xi = 0 and rotates the state instead (xi is a
+    # gauge), so neither scan loops over spectra; T0 goes through asymptotics
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return spectrum(*args)
+
+    monkeypatch.setattr("qwcycle.thermo.spectrum", counted)
+    axes = (-math.pi, math.pi, 7), (-math.pi, math.pi, 5)
+    bloch_temperature_scan(CoinParams(0.6, 0.2, -0.8), 9, *axes)
+    assert len(calls) == 1
+    coin_phase_temperature_scan(0.6, Local(0, 0.6, 0.8), 9, *axes)
+    assert len(calls) == 2
 
 
 def test_bloch_scan_reference_point_is_one():
