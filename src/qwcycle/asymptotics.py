@@ -4,10 +4,10 @@ Time-averaging projects the initial state onto each group of coinciding
 eigenphases (``spectral.group_eigenphases``) and drops the coherences between
 groups.  Both observables, and through ``_coin_gram`` the temperature scans,
 read one projection of the sector spinors psi_k onto the arrays of
-``spectral.spectrum``, ``_sector_parts`` (p_k^i = <v_k^i|psi_k> v_k^i; a
-scalar block passes psi_k whole).  This evaluates the paper's
-characteristic-matrix sums over M(k, k') and Theta(k, k'), which
-``qwcycle.reference`` keeps literally.
+``spectral.spectrum``, ``_sector_parts`` (p_k^+/- = (1 +/- m_k.sigma) psi_k / 2
+about each block's rotation axis m_k; a scalar block passes psi_k whole).
+This evaluates the paper's characteristic-matrix sums over M(k, k') and
+Theta(k, k'), which ``qwcycle.reference`` keeps literally.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ __all__ = ["asymptotic_reduced_density", "limiting_distribution"]
 
 
 def _sector_parts(spec: Spectrum, psis: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """The eigenvector projections p_k^i = <v_k^i|psi_k> v_k^i of sector spinors
-    psis (..., N, 2), shaped (..., N, zone, comp).  A scalar block has nothing
-    to dephase: it keeps psi_k whole in zone 0 and holds 0 in zone 1."""
-    v = spec.vectors
-    coef = np.einsum("...kbi,...kb->...ki", v.conj(), psis)
-    parts = coef[..., None] * v.swapaxes(-1, -2)
+    """The eigenprojections p_k^+/- = (psi_k +/- (m_k.sigma) psi_k)/2 of sector
+    spinors psis (..., N, 2), shaped (..., N, zone, comp).  A scalar block has
+    nothing to dephase: it keeps psi_k whole in zone 0 and holds 0 in zone 1."""
+    m1, m2, m3 = np.moveaxis(spec.axes, -1, 0)
+    up, down = psis[..., 0], psis[..., 1]
+    turned = np.stack([m3 * up + (m1 - 1j * m2) * down, (m1 + 1j * m2) * up - m3 * down], axis=-1)
+    parts = 0.5 * np.stack([psis + turned, psis - turned], axis=-2)
     whole = np.stack([psis, np.zeros_like(psis)], axis=-2)
     return np.where(spec.scalar[..., None, None], whole, parts)
 

@@ -14,21 +14,16 @@ One rule decides degeneracy: eigenphases within DEGENERACY_TOL on the circle
 coincide.  ``group_eigenphases`` chains all 2N of them into groups; for most
 coins these are the pairs k + k' = N zeta / pi (mod N), while at theta = pi/2
 every block shares both eigenvalues with every other.  A block whose own two
-eigenphases coincide is scalar and gets the canonical basis.
+eigenphases coincide is scalar.
 
-Eigenvectors: with the phase-stripped block [[A, B], [C, D]] (A = e^{i(zeta-w)}
-cos theta, B = e^{i(xi-w)} sin theta, C = -conj(B), D = conj(A)), both columns
-of adj(mu I - B_k) are eigenvectors for eigenvalue mu; we take whichever of
-v1 = (B, mu - A) and v2 = (mu - D, C) has the larger norm.  Since
-(mu - A) + (mu - D) = 2 i sin(alpha) mu' for a unimodular mu', the larger norm
-is at least |sin alpha|, so the construction is well-conditioned whenever the
-block is not scalar.  |v1| >= |v2| reduces exactly to the sign rule
-s cos(theta) sin(zeta - w) <= 0, with s = +1 in zone I and -1 in zone II,
-which is what decides: comparing two rounded norms would break their ties by
-rounding.  A is formed from the same cos(w - zeta) and sin(w - zeta) as
-alpha rather than as a product of two rounded exponentials, whose extra
-rounding mu - A would amplify near a scalar block.  ``spectrum`` builds it as
-arrays over k (and any coin axes).
+Eigenprojectors: with its phase stripped, B_k is one SU(2) rotation
+cos(alpha) + i sin(alpha) m_k.sigma about the real unit axis m_k, where
+sin(alpha) m_k = (sin theta sin(xi - w), sin theta cos(xi - w), cos theta sin(zeta - w)).
+So zones I and II project with (1 +/- m_k.sigma)/2: no eigenvector column, no
+choice between columns, no gauge.  Near a scalar block m_k is good to
+eps/sin(alpha), the conditioning of the eigenproblem itself; a scalar block
+has no axis and holds zeros.  ``spectrum`` builds all of it as arrays over k
+(and any coin axes).
 """
 
 from __future__ import annotations
@@ -46,11 +41,11 @@ DEGENERACY_TOL = 1e-9
 
 class Spectrum(NamedTuple):
     """All blocks of coins broadcast to shape S: eigenphases eta/2 +/- alpha in
-    (-pi, pi] (S + (N, 2)), unit eigenvectors as columns (S + (N, 2, 2)) and
-    the scalar blocks (S + (N,)), given the canonical basis."""
+    (-pi, pi] (S + (N, 2)), real unit rotation axes m_k (S + (N, 3)) and the
+    scalar blocks (S + (N,)), whose axes are zero."""
 
     phases: NDArray[np.float64]
-    vectors: NDArray[np.complex128]
+    axes: NDArray[np.float64]
     scalar: NDArray[np.bool_]
 
 
@@ -59,23 +54,14 @@ def spectrum(n_nodes: int, theta, zeta, xi, eta=0.0) -> Spectrum:
     theta, zeta, xi, eta = (x[..., None] for x in np.broadcast_arrays(theta, zeta, xi, eta))
     w = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    turn = np.cos(w - zeta) - 1j * np.sin(w - zeta)  # e^{i(zeta - w)}
-    lean = -cos_t * turn.imag  # = -cos(theta) sin(zeta - w)
-    alpha = np.arctan2(np.hypot(sin_t, lean), cos_t * turn.real)
+    comps = [sin_t * np.sin(xi - w), sin_t * np.cos(xi - w), cos_t * np.sin(zeta - w)]
+    tilt = np.stack(comps, axis=-1)  # sin(alpha) m_k
+    sin_a = np.hypot(sin_t, comps[2])  # = |tilt|
+    alpha = np.arctan2(sin_a, cos_t * np.cos(w - zeta))
     scalar = 2.0 * np.minimum(alpha, np.pi - alpha) <= DEGENERACY_TOL
-
-    a = (cos_t * turn)[..., None]
-    b = (np.exp(1j * (xi - zeta)) * sin_t * turn)[..., None]
+    axes = np.divide(tilt, sin_a[..., None], out=np.zeros_like(tilt), where=~scalar[..., None])
     mu = np.exp(1j * alpha[..., None] * [1.0, -1.0])  # (..., N, zone)
-    v1 = np.stack(np.broadcast_arrays(b, mu - a), axis=-2)  # (..., N, comp, zone)
-    v2 = np.stack(np.broadcast_arrays(mu - np.conj(a), -np.conj(b)), axis=-2)
-    pick = lean[..., None] * [1.0, -1.0] >= 0.0  # the sign rule: v1 is the larger
-    v = np.where(pick[..., None, :], v1, v2)
-    norm = np.sqrt(np.where(scalar[..., None], 1.0, (np.abs(v) ** 2).sum(axis=-2)))
-    vectors = v / norm[..., None, :]
-    vectors[scalar] = np.eye(2)
-
-    return Spectrum(np.angle(np.exp(0.5j * eta)[..., None] * mu), vectors, scalar)
+    return Spectrum(np.angle(np.exp(0.5j * eta)[..., None] * mu), axes, scalar)
 
 
 def group_eigenphases(phases: NDArray[np.float64]) -> NDArray[np.int64]:

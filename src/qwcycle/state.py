@@ -201,11 +201,11 @@ def parse_state(text: str) -> InitialStateSpec:
             return Local(j=j, c0=complex(vals[0], vals[1]), c1=complex(vals[2], vals[3]))
         raise ValueError("'local' takes J or J,c0re,c0im,c1re,c1im")
     if kind == "bloch":
-        body, _, at = rest.partition("@")
+        body, sep, at = rest.partition("@")
         parts = [p.strip() for p in body.split(",") if p.strip()]
-        if len(parts) != 2:
+        if len(parts) != 2 or (sep and not at.strip()):
             raise ValueError("'bloch' takes GAMMA,PHI[@J]")
-        j = int(at) if at else 0
+        j = int(at) if sep else 0
         return Bloch(gamma=parse_angle(parts[0]), phi=parse_angle(parts[1]), j=j)
     if kind == "entangled":
         return EntangledPair(p=int(rest))

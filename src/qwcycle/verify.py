@@ -56,8 +56,8 @@ class VerifyConfig:
         object.__setattr__(self, "n_values", n_values)
         for name in ("coins_per_n", "states_per_coin", "t_max"):
             object.__setattr__(self, name, _whole(getattr(self, name), 1, name))
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import pytest
 
 from qwcycle.asymptotics import asymptotic_reduced_density, limiting_distribution
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
-from qwcycle.evolution import time_avg_distribution
+from qwcycle.evolution import _window_sums
 from qwcycle.reference import (
     characteristic_sums,
     degeneracy_table,
@@ -55,15 +55,16 @@ def pair_state_data():
     mat = build_coin(coin)
     out = {}
     for n in (60, 62):
+        specs = {}
         for p in (20, 22):
-            for label, spec in (
-                ("entangled", EntangledPair(p)),
-                ("separable", SeparablePair(p)),
-            ):
-                state = make_state(spec, n)
-                closed = limiting_distribution(state, coin)
-                oracle = time_avg_distribution(state, mat, 200_000)
-                out[(n, p, label)] = (closed, oracle)
+            specs[(n, p, "entangled")] = EntangledPair(p)
+            specs[(n, p, "separable")] = SeparablePair(p)
+        states = [make_state(spec, n) for spec in specs.values()]
+        # the four walks of one size share a coin, so they step together
+        grids = np.stack([state.as_grid() for state in states])
+        oracles, _ = _window_sums(np.broadcast_to(mat, (len(states), 2, 2)), grids, 200_000)
+        for key, state, oracle in zip(specs, states, oracles):
+            out[key] = (limiting_distribution(state, coin), oracle)
     return out
 
 

@@ -254,12 +254,15 @@ def test_large_cycle_limiting_distribution(rng):
     ld = limiting_distribution(state, coin)
     assert ld.shape == (n,) and ld.min() >= 0.0 and abs(ld.sum() - 1.0) < 1e-12
     # reference pair sum: partners share their spectrum zone by zone, so
-    # tr Theta(k, k') = sum_i <p_k'^i | p_k^i> with p_k^i = <v_k^i|psi_k> v_k^i
+    # tr Theta(k, k') = sum_i <p_k'^i | p_k^i> with p_k^+/- = (1 +/- m_k.sigma) psi_k / 2
     pairs = np.array(degeneracy_table(coin, n).cross_pairs())
     spec = spectrum(n, coin.theta, coin.zeta, coin.xi, coin.eta)
     assert np.abs(spec.phases[pairs[:, 0]] - spec.phases[pairs[:, 1]]).max() < 1e-12
-    psis = momentum_spinors(state).T
-    parts = np.einsum("kbi,kb,kai->kia", spec.vectors.conj(), psis, spec.vectors)
+    assert not spec.scalar.any()
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    turn = np.einsum("ka,abc->kbc", spec.axes, pauli)
+    proj = 0.5 * (np.eye(2) + np.array([1.0, -1.0])[:, None, None, None] * turn)  # (zone, k, 2, 2)
+    parts = np.einsum("ikab,kb->kia", proj, momentum_spinors(state).T)
     tr = np.einsum("pia,pia->p", parts[pairs[:, 1]].conj(), parts[pairs[:, 0]])
     nodes = rng.choice(n, size=16, replace=False)
     phase = np.exp(2j * math.pi * np.outer(nodes, pairs[:, 0] - pairs[:, 1]) / n)

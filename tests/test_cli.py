@@ -214,6 +214,7 @@ def test_verify_pass_and_fail_exit_codes(capsys):
         ["verify", "--n-min", "3", "--n-max", "3", "--coins", "1", "--tmax", "100", "--tol", "-1"],
         ["verify", "--n-min", "3", "--n-max", "3", "--coins", "1", "--tmax", "100", "--tol", "0"],
         ["verify", "--n-min", "3", "--n-max", "3", "--coins", "1", "--tmax", "100", "--tol", "nan"],
+        ["verify", "--n-min", "3", "--n-max", "3", "--coins", "1", "--tmax", "10", "--tol", "inf"],
         ["temp", "-N", "6", "--scan", "bloch", "--init", "local:3", "--theta", "1"],
         ["temp", "-N", "6", "--scan", "phases", "--coin", "diaz:pi/3"],
         ["temp", "-N", "6", "--coin", "", "--axis1=0:pi:2", "--axis2=0:pi:2"],

@@ -59,7 +59,14 @@ def test_fixed_seed_reproduces_identical_report():
 
 
 def test_config_rejects_counts_that_are_not_whole():
-    for bad in ({"t_max": 0}, {"t_max": 2.5}, {"n_values": (3.5,)}, {"coins_per_n": 1.5}):
+    bad_values = (
+        {"t_max": 0},
+        {"t_max": 2.5},
+        {"n_values": (3.5,)},
+        {"coins_per_n": 1.5},
+        {"tolerance": math.inf},
+    )
+    for bad in bad_values:
         with pytest.raises(ValueError):
             VerifyConfig(**bad)
     config = VerifyConfig(n_values=(3.0,), t_max=1e3)
