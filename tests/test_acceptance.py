@@ -1,8 +1,8 @@
 """End-to-end acceptance checks, one test per advertised guarantee.
 
 Each test prints one pass/fail line under ``pytest -v``.  The two oracle
-sweeps (criteria 3/4 and 8) are expensive, so they run once as session
-fixtures and the tests assert on the recorded reports.
+sweeps (criteria 3/4 and 8) run once as session fixtures and the tests
+assert on the recorded reports.
 """
 
 import dataclasses
@@ -60,7 +60,7 @@ def pair_state_data():
             specs[(n, p, "entangled")] = EntangledPair(p)
             specs[(n, p, "separable")] = SeparablePair(p)
         states = [make_state(spec, n) for spec in specs.values()]
-        # the four walks of one size share a coin, so they step together
+        # the four walks of one size share a coin, so one call averages them
         grids = np.stack([state.as_grid() for state in states])
         oracles, _ = _window_sums(np.broadcast_to(mat, (len(states), 2, 2)), grids, 200_000)
         for key, state, oracle in zip(specs, states, oracles):

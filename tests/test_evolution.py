@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
 from qwcycle.evolution import (
+    _doubled_sums,
+    _stepped_sums,
     check_density,
     check_distribution,
     check_reduced_density,
@@ -101,9 +103,15 @@ def test_long_run_norm_stability():
 
 def test_evolve_rejects_non_unitary_coin():
     s = make_state(Local(0), 4)
-    for fn in (evolve, time_avg_distribution, time_avg_reduced_density):
-        with pytest.raises(ValueError):
-            fn(s, 1.01 * np.eye(2, dtype=complex), 2_000)
+    nan_coin = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+    for coin in (1.01 * np.eye(2, dtype=complex), nan_coin):
+        for fn in (evolve, time_avg_distribution, time_avg_reduced_density):
+            with pytest.raises(ValueError):
+                fn(s, coin, 2_000)
+        # one rule for both averaging routes, whichever _window_sums picks
+        for route in (_doubled_sums, _stepped_sums):
+            with pytest.raises(ValueError):
+                route(coin[None], s.as_grid()[None], 2_000)
 
 
 def test_reduced_average_consistent_with_full_density(rng):

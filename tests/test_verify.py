@@ -3,13 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from qwcycle.coin import build_coin
-from qwcycle.evolution import _window_sums
+from qwcycle.coin import CoinParams, build_coin
+from qwcycle.evolution import _doubled_sums, _stepped_sums, _window_sums
 from qwcycle.reference import reduce_to_coin, time_avg_density
-from qwcycle.state import WalkState
+from qwcycle.state import EntangledPair, Local, WalkState, make_state
 from qwcycle.verify import THETA_RANGE, VerifyConfig, run_verification, sample_coins
 
 TINY = VerifyConfig(n_values=(3, 4), coins_per_n=4, states_per_coin=2, t_max=5_000, seed=11)
+
+
+def _random_grid(rng, n):
+    z = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    return z / np.linalg.norm(z)
+
+
+def _density_marginals(state, coin, t):
+    """The node distribution and reduced coin density of the literal np.roll
+    2N x 2N average."""
+    n = state.n_nodes
+    full = time_avg_density(state, coin, t)
+    return np.einsum("sjsj->j", full.reshape(2, n, 2, n)).real, reduce_to_coin(full)
 
 
 def test_sampled_coins_hit_the_degeneracy_grid(rng):
@@ -24,7 +37,9 @@ def test_sampled_coins_hit_the_degeneracy_grid(rng):
 
 
 def test_batched_window_sums_match_density_reference(rng):
-    """The batched kernel, pinned per instance to the literal np.roll 2N x 2N average."""
+    """Both routes, pinned per instance to the literal np.roll 2N x 2N average,
+    and the doubling route to the step loop, on every short bit pattern of the
+    window and on degenerate coins."""
     n, t, count = 5, 400, 4
     coins = sample_coins(rng, n, count)
     mats = np.array([build_coin(c) for c in coins])
@@ -34,10 +49,49 @@ def test_batched_window_sums_match_density_reference(rng):
     dist, rho = _window_sums(mats, z, t)
     assert dist.shape == (count, n) and rho.shape == (count, 2, 2)
     for x in range(count):
-        full = time_avg_density(WalkState.from_grid(z[x]), mats[x], t)
-        node_marginal = np.einsum("sjsj->j", full.reshape(2, n, 2, n)).real
+        node_marginal, coin_marginal = _density_marginals(WalkState.from_grid(z[x]), mats[x], t)
         assert np.abs(dist[x] - node_marginal).max() < 1e-13
-        assert np.abs(rho[x] - reduce_to_coin(full)).max() < 1e-13
+        assert np.abs(rho[x] - coin_marginal).max() < 1e-13
+
+    windows = (1, 2, 3, 4, 7, 3000)
+    for n in (2, 3, 8, 12, 40, 61):
+        states = [
+            WalkState.from_grid(_random_grid(rng, n)),
+            make_state(Local(n // 2, 0.6, 0.8j), n),
+            make_state(EntangledPair(n // 2), n),
+        ]
+        grids = np.stack([s.as_grid() for s in states])
+        for theta in (0.9, 0.0, math.pi / 2):
+            mat = build_coin(CoinParams(theta, -0.4, 1.3, 0.2))
+            # read-only, as the acceptance fixture passes it
+            stack = np.broadcast_to(mat, (len(states), 2, 2))
+            for t in windows:
+                dist, rho = _doubled_sums(stack, grids, t)
+                step_dist, step_rho = _stepped_sums(stack, grids, t)
+                assert np.abs(dist - step_dist).max() <= 1e-13, (n, theta, t)
+                assert np.abs(rho - step_rho).max() <= 1e-13, (n, theta, t)
+                if t > 7 and n != 8:
+                    continue  # the literal average is slow at long windows; one size carries them
+                for x, state in enumerate(states):
+                    node_marginal, coin_marginal = _density_marginals(state, mat, t)
+                    assert np.abs(dist[x] - node_marginal).max() <= 1e-13, (n, theta, t, x)
+                    assert np.abs(rho[x] - coin_marginal).max() <= 1e-13, (n, theta, t, x)
+
+
+def test_window_sums_pick_the_cheaper_route(monkeypatch):
+    # doubling costs ~(2N)^3 per bit of t_max, the step loop a fixed time a step
+    taken = []
+    for name, route in (("_doubled_sums", _doubled_sums), ("_stepped_sums", _stepped_sums)):
+
+        def counted(*args, name=name, route=route):
+            taken.append(name)
+            return route(*args)
+
+        monkeypatch.setattr(f"qwcycle.evolution.{name}", counted)
+    coin = build_coin(CoinParams(0.9, -0.4, 1.3, 0.2))[None]
+    for n, t in ((8, 200_000), (400, 50)):
+        _window_sums(coin, make_state(Local(0), n).as_grid()[None], t)
+    assert taken == ["_doubled_sums", "_stepped_sums"]
 
 
 def test_small_sweep_passes():
