@@ -39,13 +39,28 @@ __all__ = [
 ]
 
 
-# The doubling route costs ~(2N)^3 per bit of t_max and instance, the step
-# loop ~15 us per step almost whatever N, so doubling runs while
-# (2N)^3 * bits <= DOUBLING_COST * t_max.  Doubling vs step loop, one
-# instance, 2 cores with OpenBLAS: 13 vs 26 ms at N = 64, T = 2000; 91 vs
-# 328 ms at N = 128, T = 2e4; 933 vs 388 ms at N = 256, T = 2e4.  That puts
-# the crossover at 2e4-5e4.
-DOUBLING_COST = 3e4
+# The doubling route's four (2N)^2 complex buffers, 256 N^2 bytes, may not
+# exceed this (N <= 512); larger N steps in O(N) memory whatever t_max.
+DOUBLING_MAX_BYTES = 2**26
+
+
+def _doubling_is_cheaper(x: int, n: int, steps: int) -> bool:
+    """Whether binary doubling beats the step loop for X walks on N nodes.
+
+    Both costs are in microseconds, fitted to best-of-3 timings on 2 cores
+    with OpenBLAS: doubling per walk and bit of t_max at N = 3..256 (within
+    2.1x of every timing but one), the step loop per step at X in
+    {1, 2, 5, 20, 100, 400} and N = 4..400 (within 1.6x).  A walk of N
+    nodes keeps four (2N)^2 buffers on the doubling route, so above
+    ``DOUBLING_MAX_BYTES`` it steps whatever the cost.  Doubling vs step loop:
+    18 vs 21 ms at X = 2, N = 64, T = 2000; 944 vs 212 ms at X = 100,
+    N = 64, T = 2000; 1.23 vs 2.59 s at X = 100, N = 64, T = 2e4.
+    """
+    if 256 * n * n > DOUBLING_MAX_BYTES:
+        return False
+    doubling = x * steps.bit_length() * (34 + 3.1e-4 * (2 * n) ** 3)
+    stepping = steps * (9 + x * (0.5 + 0.016 * n))
+    return doubling <= stepping
 
 
 def _unitary(coins: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -176,13 +191,12 @@ def _window_sums(
 
     Takes ``_walk``'s coins (X, 2, 2) and grids (X, 2, N).  Returns the node
     distributions (X, N) and the reduced coin densities (X, 2, 2), by binary
-    doubling where that is cheaper than the step loop and by the step loop
-    otherwise (see ``DOUBLING_COST``).
+    doubling where ``_doubling_is_cheaper`` and by the step loop otherwise.
     """
     steps = _whole(t_max, 1, "t_max")
-    n = grids.shape[-1]
-    doubling = (2 * n) ** 3 * steps.bit_length() <= DOUBLING_COST * steps
-    return (_doubled_sums if doubling else _stepped_sums)(coins, grids, steps)
+    x, _, n = grids.shape
+    route = _doubled_sums if _doubling_is_cheaper(x, n, steps) else _stepped_sums
+    return route(coins, grids, steps)
 
 
 def time_avg_distribution(

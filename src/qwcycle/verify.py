@@ -15,11 +15,11 @@ t_max resolves the limit).
 
 All (coin, state) instances of one N are averaged together by
 ``evolution._window_sums``, the averaging behind ``time_avg_distribution`` and
-``time_avg_reduced_density``.  At the sweep's sizes it takes the binary
-doubling route, which sums the t_max-step window exactly in O(log t_max) dense
-2N x 2N products; unit tests pin it to the step loop ``evolve`` runs and to the
-literal ``np.roll`` oracle kept in ``qwcycle.reference``, the 2N x 2N average
-``reference.time_avg_density``.
+``time_avg_reduced_density``.  At the default sweep's sizes it takes the
+binary doubling route, which sums the t_max-step window exactly in
+O(log t_max) dense 2N x 2N products; unit tests pin it to the step loop
+``evolve`` runs and to the literal ``np.roll`` oracle kept in
+``qwcycle.reference``, the 2N x 2N average ``reference.time_avg_density``.
 """
 
 from __future__ import annotations

@@ -79,19 +79,24 @@ def test_batched_window_sums_match_density_reference(rng):
 
 
 def test_window_sums_pick_the_cheaper_route(monkeypatch):
-    # doubling costs ~(2N)^3 per bit of t_max, the step loop a fixed time a step
+    # doubling costs ~(2N)^3 per walk and bit of t_max, the step loop a time
+    # per step that grows with X N; the spies record the route without running it
     taken = []
-    for name, route in (("_doubled_sums", _doubled_sums), ("_stepped_sums", _stepped_sums)):
-
-        def counted(*args, name=name, route=route):
-            taken.append(name)
-            return route(*args)
-
-        monkeypatch.setattr(f"qwcycle.evolution.{name}", counted)
-    coin = build_coin(CoinParams(0.9, -0.4, 1.3, 0.2))[None]
-    for n, t in ((8, 200_000), (400, 50)):
-        _window_sums(coin, make_state(Local(0), n).as_grid()[None], t)
-    assert taken == ["_doubled_sums", "_stepped_sums"]
+    for name in ("_doubled_sums", "_stepped_sums"):
+        monkeypatch.setattr(f"qwcycle.evolution.{name}", lambda *args, name=name: taken.append(name))
+    coin = build_coin(CoinParams(0.9, -0.4, 1.3, 0.2))
+    cases = {
+        (1, 8, 200_000): "_doubled_sums",
+        (1, 400, 50): "_stepped_sums",
+        (2, 64, 40_000): "_doubled_sums",  # the bench's oracle_sweep stack
+        (100, 64, 2000): "_stepped_sums",  # verify's default 20 x 5 draws
+        (100, 64, 20_000): "_doubled_sums",
+        (1, 600, 10**9): "_stepped_sums",  # doubling's buffers would pass 64 MiB
+    }
+    for x, n, t in cases:
+        grids = np.broadcast_to(make_state(Local(0), n).as_grid(), (x, 2, n))
+        _window_sums(np.broadcast_to(coin, (x, 2, 2)), grids, t)
+    assert taken == list(cases.values())
 
 
 def test_small_sweep_passes():
