@@ -61,19 +61,19 @@ def limiting_distribution(state0: WalkState, coin: CoinParams) -> NDArray[np.flo
     its part from ``_sector_parts``.  Groups of one add uniformly, the cross
     terms of all groups of two go through one inverse FFT, and larger groups
     (all N blocks at theta = pi/2) one each.  Exactly uniform when no group
-    spans two blocks.  Negative entries above -1e-12 (float dust) are clipped
-    and the vector renormalized.
+    spans two blocks, which is decided before any part is built.  Negative
+    entries above -1e-12 (float dust) are clipped and the vector renormalized.
     """
     n = state0.n_nodes
     spec = spectrum(n, *astuple(coin))
     keep = np.stack([np.ones(n, dtype=bool), ~spec.scalar], axis=1)  # scalar: zone 1 holds 0
-    ks = np.nonzero(keep)[0]
     labels = group_eigenphases(spec.phases)[keep]
-    parts = _sector_parts(spec, momentum_spinors(state0).T)[keep]
     size = np.bincount(labels)[labels]
     if size.max() == 1:
         return np.full(n, 1.0 / n)
 
+    ks = np.nonzero(keep)[0]
+    parts = _sector_parts(spec, momentum_spinors(state0).T)[keep]
     probs = np.full(n, (np.abs(parts[size <= 2]) ** 2).sum() / n)
     order = np.argsort(labels, kind="stable")
     a, b = order[size[order] == 2].reshape(-1, 2).T  # the two members of each pair

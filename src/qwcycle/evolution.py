@@ -12,8 +12,11 @@ oracle deterministic for tests.
 Two routes compute a time average over t = 1..t_max, and ``_window_sums``
 picks the cheaper for its input.  ``_walk`` steps X walks at once with one
 matmul and one index gather; it is ``evolve``'s kernel and the step-loop route,
-O(t_max) steps.  Binary doubling sums U^t rho U^-t over the window exactly in
-O(log t_max) dense 2N x 2N products, with no Fourier transform or spectral
+O(t_max) steps.  Binary doubling sums U^t rho U^-t over the window exactly:
+a seed steps the first m0 <= 2N terms (the top bits of t_max), then each
+remaining bit costs two dense 2N x 2N products.  U^m is block-circulant, as
+the walk commutes with translations, so it is kept as two columns and
+expanded once per bit.  Doubling uses no Fourier transform or spectral
 theory, so it stays independent of the closed forms it checks.
 ``time_avg_distribution``, ``time_avg_reduced_density`` and the verification
 sweep go through ``_window_sums``.  The literal ``np.roll`` step and 2N x 2N
@@ -39,27 +42,52 @@ __all__ = [
 ]
 
 
-# The doubling route's four (2N)^2 complex buffers, 256 N^2 bytes, may not
-# exceed this (N <= 512); larger N steps in O(N) memory whatever t_max.
+# The doubling route's whole footprint, seed included, may not exceed this:
+# up to 352 N^2 + 512 N bytes plus 256 KiB for one walk (``_doubling_chunk``),
+# so N <= 435 for every t_max.  Larger N steps in O(N) memory whatever t_max.
 DOUBLING_MAX_BYTES = 2**26
+
+
+def _seed_split(n: int, steps: int) -> tuple[int, int]:
+    """(m0, s) with m0 = steps >> s the top bits of the window and s the least
+    shift that gives m0 <= 2N: the seed steps m0 times, doubling runs s bits."""
+    shift = max(0, steps.bit_length() - (2 * n).bit_length())
+    if steps >> shift > 2 * n:
+        shift += 1
+    return steps >> shift, shift
+
+
+def _doubling_chunk(n: int, m0: int) -> int:
+    """How many walks on N nodes the doubling route seeds at once within
+    ``DOUBLING_MAX_BYTES``; below 1 when not even one fits.  The route holds
+    four (2N)^2 complex buffers and the (2N)^2 expansion index (288 N^2
+    bytes), up to 256 KiB of numpy ufunc buffers while it forms psi psi^dag,
+    and per walk of a chunk its m0 stored seed states plus 16 (2, N) arrays:
+    its three walkers, their step temporaries and its outputs."""
+    return (DOUBLING_MAX_BYTES - 2**18 - 288 * n * n) // (32 * n * (m0 + 16))
 
 
 def _doubling_is_cheaper(x: int, n: int, steps: int) -> bool:
     """Whether binary doubling beats the step loop for X walks on N nodes.
 
     Both costs are in microseconds, fitted to best-of-3 timings on 2 cores
-    with OpenBLAS: doubling per walk and bit of t_max at N = 3..256 (within
-    2.1x of every timing but one), the step loop per step at X in
-    {1, 2, 5, 20, 100, 400} and N = 4..400 (within 1.6x).  A walk of N
-    nodes keeps four (2N)^2 buffers on the doubling route, so above
-    ``DOUBLING_MAX_BYTES`` it steps whatever the cost.  Doubling vs step loop:
-    18 vs 21 ms at X = 2, N = 64, T = 2000; 944 vs 212 ms at X = 100,
-    N = 64, T = 2000; 1.23 vs 2.59 s at X = 100, N = 64, T = 2e4.
+    with OpenBLAS.  Doubling: per walk and remaining bit, two (2N)^3 products
+    and the O(N^2) expansion and sums; per walk, the seed's (2N)^2 m0 product;
+    and m0 seed steps of 3X walkers (fitted at X in {1, 2, 5, 20, 100},
+    N = 3..256 and t_max = 50..2e5).  The step loop: per step at X in
+    {1, 2, 5, 20, 100, 400} and N = 4..400.  Above ``DOUBLING_MAX_BYTES`` it
+    steps whatever the cost.  Doubling vs step loop in two runs: 63-71 vs
+    21-34 ms at X = 1, N = 256, T = 2000; 0.29-0.32 vs 0.20-0.24 s at
+    X = 100, N = 64, T = 2000; 0.49-0.60 vs 1.02-1.16 s at X = 20, N = 128,
+    T = 2e4.
     """
-    if 256 * n * n > DOUBLING_MAX_BYTES:
+    m0, bits = _seed_split(n, steps)
+    if _doubling_chunk(n, m0) < 1:
         return False
-    doubling = x * steps.bit_length() * (34 + 3.1e-4 * (2 * n) ** 3)
-    stepping = steps * (9 + x * (0.5 + 0.016 * n))
+    d = 2 * n
+    doubling = x * (bits * (9.4 + 0.019 * d * d + 1.35e-4 * d**3) + 27 + 1.14e-4 * d * d * m0)
+    doubling += m0 * (15.5 + 0.038 * x * n)
+    stepping = steps * (7.2 + x * (0.33 + 0.016 * n))
     return doubling <= stepping
 
 
@@ -141,46 +169,63 @@ def _stepped_sums(
 def _doubled_sums(
     coins: NDArray[np.complex128], grids: NDArray[np.complex128], steps: int
 ) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
-    """The window averages by binary doubling: O(log t_max) dense products.
+    """The window averages by a stepped seed and binary doubling.
 
-    Per instance, S(m) = sum_{t=1..m} U^t rho U^-t on the 2N x 2N density
-    follows the bits of t_max from the top: S(2m) = S(m) + U^m S(m) U^-m,
-    and S(m + 1) = U (rho + S(m)) U^dag.  U = S (Gamma (x) I) acts as the
-    2 x 2 coin matmul plus the shift gather of ``_walk``, on rows from the
-    left and, with the conjugate coin, on columns from the right.  Instances
-    run one at a time on four (2N)^2 buffers, every product written in place.
+    Per instance, S(m) = sum_{t=1..m} U^t rho U^-t on the 2N x 2N density.
+    The seed steps the walk m0 <= 2N times, m0 the top bits of t_max, and
+    forms S(m0) = L L^dag from the stored states in one product.  Each of the
+    s remaining bits doubles, S(2m) = S(m) + P (P S(m))^dag with P = U^m (S(m)
+    is Hermitian), in two dense products; a 1 bit then adds the next term,
+    S(m + 1) = S(m) + U^(m+1) rho U^-(m+1).
+
+    U^m commutes with translations, so it is block-circulant:
+    U^m[(s, v), (a, j)] = (U^m e_{a,0})[(s, v - j mod N)].  Each instance
+    keeps only W = U^m (e_{0,0}, e_{1,0}, psi): the seed steps them beside the
+    walk, one flat ``np.take`` expands the dense P from the first two, a
+    doubling squares them all as P W, and a 1 bit steps them through the coin
+    matmul and shift gather of ``_walk``.  Walks are seeded in chunks of
+    ``_doubling_chunk``, so the whole footprint, seed included, stays within
+    ``DOUBLING_MAX_BYTES``.
     """
     coins = _unitary(coins)
     x, _, n = grids.shape
+    m0, bits = _seed_split(n, steps)
     source = _shift_source(n)
+    a, v = np.arange(2), np.arange(n)
+    expand = n * a[:, None, None, None] + ((v[:, None] - v) % n)[:, None, :] + 2 * n * a[:, None]
+    expand = expand.reshape(2 * n, 2 * n)  # U^m[(s, v), (a, j)] from W's flat (a, (s, v))
+    units = np.zeros((2, 2, n), dtype=np.complex128)
+    units[0, 0, 0] = units[1, 1, 0] = 1.0  # e_{0,0} and e_{1,0}
+    chunk = min(x, max(1, _doubling_chunk(n, m0)))
+    stored = np.empty((chunk, m0, 2 * n), dtype=np.complex128)
     acc, power, s1, s2 = (np.empty((2 * n, 2 * n), dtype=np.complex128) for _ in range(4))
-    rows, cols = (2, n * 2 * n), (2 * n, 2, n)
     probs = np.empty((x, 2, n))
     coherence = np.empty(x, dtype=np.complex128)
-    for i in range(x):
-        coin, psi = coins[i], grids[i].reshape(2 * n)
-        acc.fill(0)
-        power.fill(0)
-        np.fill_diagonal(power, 1)
-        for k, bit in enumerate(bin(steps)[2:]):
-            if k:  # S(2m) = S(m) + P (P S(m))^dag with P = U^m, as S(m) is Hermitian
+    for lo in range(0, x, chunk):
+        c = min(chunk, x - lo)
+        part = slice(lo, lo + c)
+        walkers = np.concatenate([np.broadcast_to(units, (c, 2, 2, n)), grids[part, None]], axis=1)
+        walks = _walk(np.repeat(coins[part], 3, axis=0), walkers.reshape(3 * c, 2, n), m0)
+        for t, amps in enumerate(walks):
+            stored[:c, t] = amps[2::3].reshape(c, 2 * n)
+        for i in range(c):
+            coin, w = coins[lo + i], amps.reshape(c, 3, 2 * n)[i]
+            conj = s2.reshape(-1)[: m0 * 2 * n].reshape(m0, 2 * n)
+            np.conjugate(stored[i], out=conj)
+            np.matmul(stored[i].T, conj, out=acc)  # S(m0) = L L^dag
+            for k in range(bits - 1, -1, -1):
+                w.take(expand, out=power, mode="wrap")
                 np.matmul(power, acc, out=s1)
                 np.conjugate(s1, out=s1)
                 np.matmul(power, s1.T, out=s2)
                 acc += s2
-                np.matmul(power, power, out=s1)
-                power, s1 = s1, power
-            if bit == "1":  # S(m + 1) = U (rho + S(m)) U^dag, and P -> U P
-                np.multiply(psi[:, None], psi.conj()[None, :], out=s2)
-                acc += s2
-                np.matmul(coin, acc.reshape(rows), out=s2.reshape(rows))
-                np.take(s2, source, axis=0, out=s1, mode="wrap")
-                np.matmul(coin.conj(), s1.reshape(cols), out=s2.reshape(cols))
-                np.take(s2, source, axis=1, out=acc, mode="wrap")
-                np.matmul(coin, power.reshape(rows), out=s2.reshape(rows))
-                np.take(s2, source, axis=0, out=power, mode="wrap")
-        probs[i] = acc.diagonal().real.reshape(2, n)
-        coherence[i] = acc[:n, n:].trace()
+                w = np.matmul(w, power.T)  # U^2m (e_{0,0}, e_{1,0}, psi)
+                if steps >> k & 1:
+                    w = np.matmul(coin, w.reshape(3, 2, n)).reshape(3, 2 * n).take(source, axis=1)
+                    np.multiply(w[2, :, None], w[2].conj(), out=s2)
+                    acc += s2
+            probs[lo + i] = acc.diagonal().real.reshape(2, n)
+            coherence[lo + i] = acc[:n, n:].trace()
     return _averages(probs, coherence, steps)
 
 

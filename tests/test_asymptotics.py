@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwcycle.asymptotics import asymptotic_reduced_density, limiting_distribution
+from qwcycle.asymptotics import _sector_parts, asymptotic_reduced_density, limiting_distribution
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
 from qwcycle.evolution import time_avg_distribution, time_avg_reduced_density
 from qwcycle.reference import (
@@ -119,6 +119,25 @@ def test_limiting_distribution_uniform_without_degeneracy():
     for n in (3, 5, 9):
         ld = limiting_distribution(make_state(Local(0), n), hadamard_params())
         assert np.array_equal(ld, np.full(n, 1.0 / n))
+
+
+def test_generic_coin_returns_uniform_before_the_parts(monkeypatch, rng):
+    # N (1 + zeta / pi) half-way between integers pairs no two blocks, so the
+    # answer is 1/N before any sector part is built; a grid coin still builds them
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _sector_parts(*args)
+
+    monkeypatch.setattr("qwcycle.asymptotics._sector_parts", counted)
+    n = 64
+    state = random_state(rng, n)
+    ld = limiting_distribution(state, CoinParams(0.9, math.pi / (2 * n), 0.4, -1.1))
+    assert np.array_equal(ld, np.full(n, 1.0 / n))
+    assert calls == []
+    limiting_distribution(state, CoinParams(0.9, math.pi / n, 0.4, -1.1))
+    assert len(calls) == 1
 
 
 def test_limiting_distribution_matches_oracle_with_degeneracy(rng):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qwcycle import evolution
 from qwcycle.coin import CoinParams, build_coin
 from qwcycle.evolution import _doubled_sums, _stepped_sums, _window_sums
 from qwcycle.reference import reduce_to_coin, time_avg_density
@@ -36,10 +38,11 @@ def test_sampled_coins_hit_the_degeneracy_grid(rng):
             assert abs(m - round(m)) < 1e-9
 
 
-def test_batched_window_sums_match_density_reference(rng):
+def test_batched_window_sums_match_density_reference(monkeypatch, rng):
     """Both routes, pinned per instance to the literal np.roll 2N x 2N average,
     and the doubling route to the step loop, on every short bit pattern of the
-    window and on degenerate coins."""
+    window, on degenerate coins and across the seed's boundaries; a chunked
+    seed changes no bit."""
     n, t, count = 5, 400, 4
     coins = sample_coins(rng, n, count)
     mats = np.array([build_coin(c) for c in coins])
@@ -53,8 +56,10 @@ def test_batched_window_sums_match_density_reference(rng):
         assert np.abs(dist[x] - node_marginal).max() < 1e-13
         assert np.abs(rho[x] - coin_marginal).max() < 1e-13
 
-    windows = (1, 2, 3, 4, 7, 3000)
     for n in (2, 3, 8, 12, 40, 61):
+        # the seed steps the top bits m0 <= 2N of the window and doubling takes
+        # the rest: T = 2N is all seed, 2N + 1 and 4N - 1..4N + 1 cross over
+        windows = (1, 2, 3, 4, 7, 2 * n, 2 * n + 1, 4 * n - 1, 4 * n, 4 * n + 1, 3000)
         states = [
             WalkState.from_grid(_random_grid(rng, n)),
             make_state(Local(n // 2, 0.6, 0.8j), n),
@@ -70,17 +75,68 @@ def test_batched_window_sums_match_density_reference(rng):
                 step_dist, step_rho = _stepped_sums(stack, grids, t)
                 assert np.abs(dist - step_dist).max() <= 1e-13, (n, theta, t)
                 assert np.abs(rho - step_rho).max() <= 1e-13, (n, theta, t)
-                if t > 7 and n != 8:
-                    continue  # the literal average is slow at long windows; one size carries them
+                if t > 7 and n != 8 and (n > 12 or t > 4 * n + 1):
+                    continue  # the literal average is slow at long windows; small sizes carry them
                 for x, state in enumerate(states):
                     node_marginal, coin_marginal = _density_marginals(state, mat, t)
                     assert np.abs(dist[x] - node_marginal).max() <= 1e-13, (n, theta, t, x)
                     assert np.abs(rho[x] - coin_marginal).max() <= 1e-13, (n, theta, t, x)
 
+    # only the seed runs while T <= 2N
+    n = 61
+    grids = np.stack([_random_grid(rng, n) for _ in range(3)])
+    stack = np.broadcast_to(build_coin(CoinParams(0.9, -0.4, 1.3, 0.2)), (3, 2, 2))
+    for t in range(1, 2 * n + 1):
+        dist, rho = _doubled_sums(stack, grids, t)
+        step_dist, step_rho = _stepped_sums(stack, grids, t)
+        assert np.abs(dist - step_dist).max() <= 1e-13, t
+        assert np.abs(rho - step_rho).max() <= 1e-13, t
+
+    # a cap that seeds X = 5 walks in chunks of 2, 2 and 1
+    n, t, x = 12, 3001, 5
+    m0, _ = evolution._seed_split(n, t)
+    thetas = (0.9, 0.0, 0.3, math.pi / 2, 1.2)
+    coins = np.array([build_coin(CoinParams(th, -0.4, 1.3, 0.2)) for th in thetas])
+    grids = np.stack([_random_grid(rng, n) for _ in range(x)])
+    whole = _doubled_sums(coins, grids, t)
+
+    walkers = []
+
+    def counted(coins, grids, steps):
+        walkers.append(len(grids))
+        return walk(coins, grids, steps)
+
+    walk = evolution._walk
+    monkeypatch.setattr(evolution, "_walk", counted)
+    # room for the fixed buffers and two walks' seed states, not three
+    cap = 2**18 + 288 * n * n + 2 * 32 * n * (m0 + 16)
+    monkeypatch.setattr(evolution, "DOUBLING_MAX_BYTES", cap)
+    chunked = _doubled_sums(coins, grids, t)
+    assert walkers == [6, 6, 3]  # each walk steps beside its two unit vectors
+    assert np.array_equal(chunked[0], whole[0]) and np.array_equal(chunked[1], whole[1])
+
+
+def test_doubling_footprint_stays_within_the_cap(monkeypatch, rng):
+    # a 2 MiB cap seeds 50 walks on 32 nodes in chunks; numpy traces its arrays
+    cap, n, x = 2**21, 32, 50
+    monkeypatch.setattr(evolution, "DOUBLING_MAX_BYTES", cap)
+    grids = np.stack([_random_grid(rng, n) for _ in range(x)])
+    coins = np.broadcast_to(build_coin(CoinParams(0.9, -0.4, 1.3, 0.2)), (x, 2, 2))
+    for t in (2 * n, 2001):
+        assert 1 < evolution._doubling_chunk(n, evolution._seed_split(n, t)[0]) < x
+        tracemalloc.start()
+        try:
+            _doubled_sums(coins, grids, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap, (t, peak)
+
 
 def test_window_sums_pick_the_cheaper_route(monkeypatch):
-    # doubling costs ~(2N)^3 per walk and bit of t_max, the step loop a time
-    # per step that grows with X N; the spies record the route without running it
+    # doubling costs ~(2N)^3 per walk and bit of t_max past a seed of <= 2N
+    # steps, the step loop a time per step that grows with X N; the spies
+    # record the route without running it
     taken = []
     for name in ("_doubled_sums", "_stepped_sums"):
         monkeypatch.setattr(f"qwcycle.evolution.{name}", lambda *args, name=name: taken.append(name))
@@ -91,7 +147,9 @@ def test_window_sums_pick_the_cheaper_route(monkeypatch):
         (2, 64, 40_000): "_doubled_sums",  # the bench's oracle_sweep stack
         (100, 64, 2000): "_stepped_sums",  # verify's default 20 x 5 draws
         (100, 64, 20_000): "_doubled_sums",
-        (1, 600, 10**9): "_stepped_sums",  # doubling's buffers would pass 64 MiB
+        (20, 128, 20_000): "_doubled_sums",  # 0.49-0.60 vs 1.02-1.16 s; these two
+        (1, 256, 20_000): "_doubled_sums",  # 0.17 vs 0.32-0.33 s; stepped before the seed
+        (1, 600, 10**9): "_stepped_sums",  # over the 64 MiB cap, which holds doubling to N <= 435
     }
     for x, n, t in cases:
         grids = np.broadcast_to(make_state(Local(0), n).as_grid(), (x, 2, n))
