@@ -104,7 +104,7 @@ def parse_coin(text: str) -> CoinParams:
             raise ValueError("'diaz' needs one angle, e.g. diaz:pi/4")
         return diaz_params(parse_angle(rest))
     if name == "u2":
-        parts = [p for p in rest.split(",") if p.strip()]
+        parts = rest.split(",")  # an empty field fails parse_angle, never shifts the rest
         if len(parts) not in (3, 4):
             raise ValueError("'u2' needs THETA,ZETA,XI and optionally ETA")
         angles = [parse_angle(p) for p in parts]

@@ -263,14 +263,14 @@ def time_avg_reduced_density(
 # invariant checks shared by oracle outputs and CLI writers
 # ---------------------------------------------------------------------------
 
-def _density_residuals(rho: NDArray[np.complex128]) -> tuple[float, float, float]:
-    """How far a square matrix is from a density matrix: the Hermiticity
-    residual, |trace - 1| and the depth of its lowest eigenvalue below 0.
-    A NaN entry makes the first two NaN, which no ``<= tol`` test passes."""
-    herm = float(np.abs(rho - rho.conj().T).max())
-    trace = float(abs(np.trace(rho) - 1.0))
-    lowest = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-    return herm, trace, float(max(0.0, -lowest))
+def _density_residuals(rho: NDArray[np.complex128]) -> tuple[NDArray[np.float64], ...]:
+    """How far each matrix of rho (..., d, d) is from a density matrix, shaped (...):
+    the Hermiticity residual, |trace - 1| and the depth of its lowest eigenvalue
+    below 0.  A NaN entry makes the first two NaN, which no ``<= tol`` test passes."""
+    adjoint = rho.conj().swapaxes(-1, -2)
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    lowest = np.linalg.eigvalsh(0.5 * (rho + adjoint)).min(axis=-1)
+    return np.abs(rho - adjoint).max(axis=(-2, -1)), np.abs(trace - 1.0), np.maximum(0.0, -lowest)
 
 
 def check_density(rho: NDArray[np.complex128], tol: float = 1e-10) -> None:

@@ -202,7 +202,7 @@ def parse_state(text: str) -> InitialStateSpec:
         raise ValueError("'local' takes J or J,c0re,c0im,c1re,c1im")
     if kind == "bloch":
         body, sep, at = rest.partition("@")
-        parts = [p.strip() for p in body.split(",") if p.strip()]
+        parts = [p.strip() for p in body.split(",")]
         if len(parts) != 2 or (sep and not at.strip()):
             raise ValueError("'bloch' takes GAMMA,PHI[@J]")
         j = int(at) if sep else 0

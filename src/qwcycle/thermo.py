@@ -20,12 +20,17 @@ Two scan drivers map the temperature landscape:
     under the Hadamard coin (the scan measures what the extra phases do, so
     its natural baseline is the phase choice the Hadamard coin makes).
 
-Both scans solve one ``spectral.spectrum`` into the coin Gram matrix of two
+Both scans solve ``spectral.spectrum`` into the coin Gram matrix G of two
 spinors (``asymptotics._coin_gram``); each grid point is one pair c of their
-coefficients.  The phase scan solves only xi = 0, because xi is a gauge:
+coefficients, with coin density sum_{a,b} c_a conj(c_b) G[a, b].  One
+contraction forms all of them as a stack of 2x2 matrices, and one formula,
+``_temperatures``, reads every temperature of this module off such a stack.
+The phase scan solves only xi = 0, because xi is a gauge:
 D = diag(e^{i xi/2}, e^{-i xi/2}) commutes with the shift and
 Gamma(theta, zeta, xi) = D Gamma(theta, zeta, 0) D^dag, so rho_c(xi; psi) =
-D rho_c(0; D^dag psi) D^dag has the eigenvalues of rho_c(0; D^dag psi).
+D rho_c(0; D^dag psi) D^dag has the eigenvalues of rho_c(0; D^dag psi).  It
+takes one spectrum per chunk of at most ``_SCAN_SECTORS`` (zeta, k) sectors,
+so its memory stays bounded whatever N.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ __all__ = [
 _MIXED_GAP_TOL = 1e-13
 # lambda2 at or below this means "pure": T = 0.
 _PURE_TOL = 1e-14
+# The phase scan solves at most this many (zeta, k) sectors per spectrum, at
+# about 370 bytes each, so its memory stays bounded for any N.
+_SCAN_SECTORS = 2**16
 
 
 @dataclass(frozen=True)
@@ -67,12 +75,12 @@ class TemperatureResult:
     temperature: float
 
 
-def _temperatures(d0, d1, off) -> tuple[NDArray[np.float64], ...]:
+def _temperatures(rho) -> tuple[NDArray[np.float64], ...]:
     """lambda1 >= lambda2 and T = 2 / ln(lambda1/lambda2) (units of E0) of the
-    Hermitian 2x2 matrices with diagonals d0, d1 and |off-diagonal| off, from
-    the closed form mean +/- radius."""
+    Hermitian 2x2 matrices rho (..., 2, 2), from the closed form mean +/- radius."""
+    d0, d1 = rho[..., 0, 0].real, rho[..., 1, 1].real
     mean = 0.5 * (d0 + d1)
-    radius = np.hypot(0.5 * (d0 - d1), off)
+    radius = np.hypot(0.5 * (d0 - d1), np.abs(rho[..., 0, 1]))
     l1, l2 = mean + radius, np.maximum(mean - radius, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         temp = 2.0 / np.log(l1 / l2)
@@ -80,24 +88,16 @@ def _temperatures(d0, d1, off) -> tuple[NDArray[np.float64], ...]:
 
 
 def _scan_temperatures(spec, basis, c) -> NDArray[np.float64]:
-    """Temperatures of the coin densities sum_{a,b} c_a conj(c_b) G[a, b] of the
-    Gram G of ``basis`` (2, ..., N, 2), one per column of c (2, P): the real
-    weights (|c0|^2, |c1|^2, Re c0 c1*, -Im c0 c1*) against the Hermitian
-    images (G00, G11, G01 + G10, i (G10 - G01)), shaped (..., P)."""
-    (g00, g01), (g10, g11) = np.moveaxis(_coin_gram(spec, basis), (-4, -3), (0, 1))
-    images = np.stack([g00, g11, g01 + g10, 1j * (g10 - g01)], axis=-3)
-    entries = np.stack([images[..., 0, 0], images[..., 1, 1], images[..., 0, 1]], -1).view(float)
-    cross = c[0] * c[1].conj()
-    weights = np.stack([np.abs(c[0]) ** 2, np.abs(c[1]) ** 2, cross.real, -cross.imag])
-    d0, _, d1, _, re, im = np.moveaxis(weights.T @ entries, -1, 0)
-    return _temperatures(d0, d1, np.hypot(re, im))[2]
+    """Temperatures (..., P) of the coin densities sum_{a,b} c_a conj(c_b) G[a, b]
+    of the Gram G of ``basis`` (2, ..., N, 2), one per column of c (2, P)."""
+    rho = np.tensordot(_coin_gram(spec, basis), c[:, None] * c.conj(), axes=([-4, -3], [0, 1]))
+    return _temperatures(np.moveaxis(rho, -1, -3))[2]
 
 
 def entanglement_temperature(rho_c: NDArray[np.complex128]) -> TemperatureResult:
     """Temperature of a 2x2 coin density matrix; T = 2 / ln(l1/l2) in units of E0."""
     check_reduced_density(rho_c, tol=1e-8)
-    rho = np.asarray(rho_c)
-    l1, l2, temp = _temperatures(rho[0, 0].real, rho[1, 1].real, abs(rho[0, 1]))
+    l1, l2, temp = _temperatures(np.asarray(rho_c))
     return TemperatureResult(lambda1=float(l1), lambda2=float(l2), temperature=float(temp))
 
 
@@ -182,5 +182,10 @@ def coin_phase_temperature_scan(
     psis = momentum_spinors(state)  # (2, N); independent of the coin
     basis = psis[:, None, :, None] * np.eye(2)[:, None, None]
     c = np.exp(0.5j * np.outer([-1.0, 1.0], xis))
-    values = temperature_ratio(_scan_temperatures(spectrum(n, theta, zetas, 0.0), basis, c), t0)
+    rows = max(1, _SCAN_SECTORS // n)
+    temps = [
+        _scan_temperatures(spectrum(n, theta, zetas[i : i + rows], 0.0), basis, c)
+        for i in range(0, zetas.size, rows)
+    ]
+    values = temperature_ratio(np.concatenate(temps), t0)
     return ScanGrid("zeta", "xi", zetas, xis, values, reference_temperature=t0)

@@ -159,7 +159,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
         rhos = np.array([asymptotic_reduced_density(s, c) for s, c in instances])
         ld_devs = np.abs(lds - avg_dist).max(axis=1)
         rho_devs = np.abs(rhos - avg_rho).max(axis=(1, 2))
-        defects = [_density_residuals(r) for r in (*rhos, *avg_rho)]
+        defects = _density_residuals(np.concatenate([rhos, avg_rho]))
         # np.max, unlike max(), keeps NaN; argmax names the first worst instance
         cases.append(
             CaseResult(

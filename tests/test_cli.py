@@ -218,6 +218,7 @@ def test_verify_pass_and_fail_exit_codes(capsys):
         ["temp", "-N", "6", "--scan", "bloch", "--init", "local:3", "--theta", "1"],
         ["temp", "-N", "6", "--scan", "phases", "--coin", "diaz:pi/3"],
         ["temp", "-N", "6", "--coin", "", "--axis1=0:pi:2", "--axis2=0:pi:2"],
+        ["rdcm", "-N", "4", "--coin", "u2:0.5,,0.3,0.1"],
     ],
 )
 def test_invalid_configuration_exits_2(args, capsys):

@@ -57,7 +57,12 @@ def test_parse_coin_presets():
 
 
 @pytest.mark.parametrize(
-    "spec", ["", "hadamard:3", "diaz", "u2:1,2", "u2:1,2,3,4,5", "grover", "u2:a,b,c"]
+    "spec",
+    [
+        "", "hadamard:3", "diaz", "u2:1,2", "u2:1,2,3,4,5", "grover", "u2:a,b,c",
+        # an empty field must not shift the fields after it into other slots
+        "u2:0.5,,0.3,0.1", "u2:0.5,0.3,0.1,",
+    ],
 )
 def test_parse_coin_rejects(spec):
     with pytest.raises(ValueError):

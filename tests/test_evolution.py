@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
 from qwcycle.evolution import (
+    _density_residuals,
     _doubled_sums,
     _stepped_sums,
     check_density,
@@ -171,6 +172,22 @@ def test_checks_reject_defects():
         with pytest.raises(ValueError):
             check_density(rho)
     check_distribution(np.array([0.25, 0.75]))
+
+
+def test_density_residuals_of_a_stack_match_per_matrix(rng):
+    z = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+    rhos = z @ z.conj().swapaxes(1, 2)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    rhos[7, 0, 1] += 1e-3  # not Hermitian
+    rhos[11, 1, 1] = np.nan
+    stacked = _density_residuals(rhos.reshape(10, 20, 2, 2))
+    for k, rho in enumerate(rhos):
+        for got, want in zip(stacked, _density_residuals(rho)):
+            assert np.array_equal(got.reshape(-1)[k], want, equal_nan=True)
+    herm, trace, _ = (r.reshape(-1) for r in stacked)
+    assert herm[7] > 1e-4 and np.isnan(herm[11]) and np.isnan(trace[11])
+    with pytest.raises(ValueError):
+        check_density(rhos[11])
 
 
 def test_time_average_convergence_rate():

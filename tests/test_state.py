@@ -154,7 +154,10 @@ def test_parse_state_raw_file(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "local", "local:1,2", "bloch:pi", "raw:file.csv", "plane:3", "bloch:1,2@x", "bloch:pi,0@"],
+    [
+        "", "local", "local:1,2", "bloch:pi", "raw:file.csv", "plane:3", "bloch:1,2@x",
+        "bloch:pi,0@", "bloch:pi,,0", "bloch:pi,0,",
+    ],
 )
 def test_parse_state_rejects(text):
     with pytest.raises(ValueError):

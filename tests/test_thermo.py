@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qwcycle.asymptotics import asymptotic_reduced_density
 from qwcycle.spectral import spectrum
 from qwcycle.state import Bloch, Local, WalkState, make_state
 from qwcycle.thermo import (
+    _temperatures,
     bloch_temperature_scan,
     coin_phase_temperature_scan,
     entanglement_temperature,
@@ -50,6 +52,23 @@ def test_temperature_input_validation():
             entanglement_temperature(np.diag(diag))
 
 
+def test_temperatures_of_a_stack_match_per_matrix(rng):
+    # I/2 (inf), a pure state (0), near-pure ones on both sides of _PURE_TOL,
+    # and random densities, in one (K, 2, 2) stack
+    v = np.array([0.6, 0.8j])
+    z = rng.standard_normal((20, 2, 2)) + 1j * rng.standard_normal((20, 2, 2))
+    dense = z @ z.conj().swapaxes(1, 2)
+    dense /= np.trace(dense, axis1=1, axis2=2).real[:, None, None]
+    special = [np.eye(2) / 2, np.outer(v, v.conj()), np.diag([1 - 1e-15, 1e-15])]
+    stack = np.concatenate([special, [np.diag([1 - 1e-12, 1e-12])], dense])
+    l1, l2, temps = _temperatures(stack)
+    assert temps[0] == math.inf and temps[1] == 0.0 and temps[2] == 0.0
+    assert 0.0 < temps[3] < 0.1
+    for k, rho in enumerate(stack):
+        res = entanglement_temperature(rho)
+        assert (res.lambda1, res.lambda2, res.temperature) == (l1[k], l2[k], temps[k])
+
+
 def test_ratio_semantics():
     assert temperature_ratio(math.inf, math.inf) == 1.0
     assert temperature_ratio(2.0, math.inf) == 0.0
@@ -75,32 +94,37 @@ def test_scans_match_per_point_density(rng, theta):
     # every grid point of both scans, and T0, against per-point
     # asymptotic_reduced_density; at theta = 0, zeta on the 2 pi/N grid puts
     # scalar blocks on the k-axis, theta = 1e-11 puts near-scalar ones there,
-    # and at theta = pi/2 every block shares its eigenvalues with every other
+    # and at theta = pi/2 every block shares its eigenvalues with every other.
+    # zeta 1e-12 off that grid nearly pairs blocks without pairing them.
     n = 8
-    coin = CoinParams(theta, 2 * math.pi * 3 / n, rng.uniform(-math.pi, math.pi), 0.4)
-    bloch = bloch_temperature_scan(coin, n, (0.0, math.pi, 5), (0.0, 2 * math.pi, 6))
-    t0 = _temperature(make_state(Bloch(math.pi, 0.0), n), coin)
-    _assert_close(bloch.reference_temperature, t0)
-    for i, g in enumerate(bloch.axis1):
-        for j, p in enumerate(bloch.axis2):
-            t = _temperature(make_state(Bloch(g, p), n), coin)
-            _assert_close(bloch.values[i, j], temperature_ratio(t, t0))
+    coin_xi = rng.uniform(-math.pi, math.pi)
+    for off in (0.0, 1e-12):
+        coin = CoinParams(theta, 2 * math.pi * 3 / n + off, coin_xi, 0.4)
+        bloch = bloch_temperature_scan(coin, n, (0.0, math.pi, 5), (0.0, 2 * math.pi, 6))
+        t0 = _temperature(make_state(Bloch(math.pi, 0.0), n), coin)
+        _assert_close(bloch.reference_temperature, t0)
+        for i, g in enumerate(bloch.axis1):
+            for j, p in enumerate(bloch.axis2):
+                t = _temperature(make_state(Bloch(g, p), n), coin)
+                _assert_close(bloch.values[i, j], temperature_ratio(t, t0))
 
     z = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
     state = WalkState.from_grid(z / np.linalg.norm(z))
-    axes = (-math.pi, math.pi, 5), (-math.pi, math.pi, 6)
-    phases = coin_phase_temperature_scan(theta, state, n, *axes)
     t0 = _temperature(state, hadamard_params())
-    _assert_close(phases.reference_temperature, t0)
-    for i, zeta in enumerate(phases.axis1):
-        for j, xi in enumerate(phases.axis2):
-            t = _temperature(state, CoinParams(theta, zeta, xi))
-            _assert_close(phases.values[i, j], temperature_ratio(t, t0))
+    for off in (0.0, 1e-12):
+        axes = (-math.pi + off, math.pi + off, 5), (-math.pi, math.pi, 6)
+        phases = coin_phase_temperature_scan(theta, state, n, *axes)
+        _assert_close(phases.reference_temperature, t0)
+        for i, zeta in enumerate(phases.axis1):
+            for j, xi in enumerate(phases.axis2):
+                t = _temperature(state, CoinParams(theta, zeta, xi))
+                _assert_close(phases.values[i, j], temperature_ratio(t, t0))
 
 
 def test_scans_take_one_spectrum(monkeypatch):
     # the phase scan solves only xi = 0 and rotates the state instead (xi is a
-    # gauge), so neither scan loops over spectra; T0 goes through asymptotics
+    # gauge), so below _SCAN_SECTORS (zeta, k) sectors each scan takes one
+    # spectrum, whatever its xi axis; T0 goes through asymptotics
     calls = []
 
     def counted(*args):
@@ -113,6 +137,21 @@ def test_scans_take_one_spectrum(monkeypatch):
     assert len(calls) == 1
     coin_phase_temperature_scan(0.6, Local(0, 0.6, 0.8), 9, *axes)
     assert len(calls) == 2
+
+
+def test_phase_scan_memory_is_bounded(monkeypatch):
+    # 41 rows at N = 4096 are three chunks of _SCAN_SECTORS (zeta, k) sectors,
+    # traced near 24 MiB; one spectrum over every row peaks near 59 MiB
+    args = 0.6, Local(0, 0.6, 0.8), 4096, (-math.pi, math.pi, 41), (-math.pi, math.pi, 21)
+    tracemalloc.start()
+    try:
+        grid = coin_phase_temperature_scan(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, peak
+    monkeypatch.setattr("qwcycle.thermo._SCAN_SECTORS", 41 * 4096)
+    assert np.array_equal(grid.values, coin_phase_temperature_scan(*args).values)
 
 
 def test_bloch_scan_reference_point_is_one():
