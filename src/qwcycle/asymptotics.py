@@ -2,10 +2,15 @@
 
 Time-averaging projects the initial state onto each group of coinciding
 eigenphases (``spectral.group_eigenphases``) and drops the coherences between
-groups.  Both observables, and through ``_coin_gram`` the temperature scans,
-read one projection of the sector spinors psi_k onto the arrays of
-``spectral.spectrum``, ``_sector_parts`` (p_k^+/- = (1 +/- m_k.sigma) psi_k / 2
-about each block's rotation axis m_k; a scalar block passes psi_k whole).
+groups.  Both observables read the sector spinors psi_k against the arrays of
+``spectral.spectrum``: the two zones of block k project with
+P_k^+/- = (1 +/- M_k)/2, M_k = m_k.sigma about its rotation axis m_k, and a
+scalar block, which has no axis, passes psi_k whole.  The limiting
+distribution needs each part p_k^+/- = P_k^+/- psi_k (``_sector_parts``) for
+its cross terms.  The coin density, and through ``_coin_gram`` the
+temperature scans, needs only the zone sum, and M_k^2 = 1 makes that one
+identity: sum_+/- P X P = (X + M X M)/2, so the time average dephases each
+block about its axis, with M psi_k read as psi_k on a scalar block.
 This evaluates the paper's characteristic-matrix sums over M(k, k') and
 Theta(k, k'), which ``qwcycle.reference`` keeps literally.
 """
@@ -25,13 +30,18 @@ from .state import WalkState, momentum_spinors
 __all__ = ["asymptotic_reduced_density", "limiting_distribution"]
 
 
-def _sector_parts(spec: Spectrum, psis: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """The eigenprojections p_k^+/- = (psi_k +/- (m_k.sigma) psi_k)/2 of sector
-    spinors psis (..., N, 2), shaped (..., N, zone, comp).  A scalar block has
-    nothing to dephase: it keeps psi_k whole in zone 0 and holds 0 in zone 1."""
+def _turned(spec: Spectrum, psis: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """M_k psi_k = (m_k.sigma) psi_k of sector spinors psis (..., N, 2)."""
     m1, m2, m3 = np.moveaxis(spec.axes, -1, 0)
     up, down = psis[..., 0], psis[..., 1]
-    turned = np.stack([m3 * up + (m1 - 1j * m2) * down, (m1 + 1j * m2) * up - m3 * down], axis=-1)
+    return np.stack([m3 * up + (m1 - 1j * m2) * down, (m1 + 1j * m2) * up - m3 * down], axis=-1)
+
+
+def _sector_parts(spec: Spectrum, psis: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """The eigenprojections p_k^+/- = (psi_k +/- M_k psi_k)/2 of sector spinors
+    psis (..., N, 2), shaped (..., N, zone, comp).  A scalar block has nothing
+    to dephase: it keeps psi_k whole in zone 0 and holds 0 in zone 1."""
+    turned = _turned(spec, psis)
     parts = 0.5 * np.stack([psis + turned, psis - turned], axis=-2)
     whole = np.stack([psis, np.zeros_like(psis)], axis=-2)
     return np.where(spec.scalar[..., None, None], whole, parts)
@@ -41,9 +51,22 @@ def _coin_gram(spec: Spectrum, basis: NDArray[np.complex128]) -> NDArray[np.comp
     """G[..., a, b] = sum_{k,i} p_k^i(basis_a) p_k^i(basis_b)^dag (..., A, A, 2, 2)
     for spinor sets basis (A, ..., N, 2).  The coin density of the spinors
     sum_a c_a basis_a is sum_{a,b} c_a conj(c_b) G[a, b]: by Parseval the trace
-    over position keeps only the terms within one block and one zone."""
-    parts = _sector_parts(spec, basis)
-    return np.einsum("a...kic,b...kid->...abcd", parts, parts.conj())
+    over position keeps only the terms within one block and one zone.
+
+    The two zones sum to G = (1/2) sum_k [psi_a psi_b^dag + (M psi_a)(M psi_b)^dag]
+    (M psi read as psi on a scalar block), so G is one matmul of the rows
+    [psi; M psi] (..., 2N, 2A), built in one buffer, with their adjoint.
+    """
+    n, n_basis = basis.shape[-2], basis.shape[0]
+    lead = np.broadcast_shapes(basis.shape[1:-2], spec.scalar.shape[:-1])
+    rows = np.empty(lead + (2, n, n_basis, 2), dtype=np.complex128)  # (..., [psi; M psi], k, a, c)
+    rows[..., 0, :, :, :] = np.moveaxis(basis, 0, -2)
+    rows[..., 1, :, :, :] = np.moveaxis(
+        np.where(spec.scalar[..., None], basis, _turned(spec, basis)), 0, -2
+    )
+    rows = rows.reshape(lead + (2 * n, 2 * n_basis))
+    gram = 0.5 * np.matmul(rows.swapaxes(-1, -2), rows.conj())
+    return gram.reshape(lead + (n_basis, 2, n_basis, 2)).swapaxes(-3, -2)
 
 
 def asymptotic_reduced_density(state0: WalkState, coin: CoinParams) -> NDArray[np.complex128]:

@@ -23,7 +23,9 @@ So zones I and II project with (1 +/- m_k.sigma)/2: no eigenvector column, no
 choice between columns, no gauge.  Near a scalar block m_k is good to
 eps/sin(alpha), the conditioning of the eigenproblem itself; a scalar block
 has no axis and holds zeros.  ``spectrum`` builds all of it as arrays over k
-(and any coin axes).
+(and any coin axes).  It stores alpha and eta and forms the eigenphases only
+when ``Spectrum.phases`` is read: the degeneracy grouping needs them, while
+the projectors need only the axes and the scalar blocks.
 """
 
 from __future__ import annotations
@@ -40,13 +42,21 @@ DEGENERACY_TOL = 1e-9
 
 
 class Spectrum(NamedTuple):
-    """All blocks of coins broadcast to shape S: eigenphases eta/2 +/- alpha in
-    (-pi, pi] (S + (N, 2)), real unit rotation axes m_k (S + (N, 3)) and the
-    scalar blocks (S + (N,)), whose axes are zero."""
+    """All blocks of coins broadcast to shape S: the rotation angles alpha
+    (S + (N,)), the global phases eta (S + (1,)), real unit rotation axes m_k
+    (S + (N, 3)) and the scalar blocks (S + (N,)), whose axes are zero.  The
+    eigenphases are formed only when ``phases`` is read."""
 
-    phases: NDArray[np.float64]
+    alpha: NDArray[np.float64]
+    eta: NDArray[np.float64]
     axes: NDArray[np.float64]
     scalar: NDArray[np.bool_]
+
+    @property
+    def phases(self) -> NDArray[np.float64]:
+        """Eigenphases eta/2 +/- alpha in (-pi, pi], S + (N, zone)."""
+        mu = np.exp(1j * self.alpha[..., None] * [1.0, -1.0])
+        return np.angle(np.exp(0.5j * self.eta)[..., None] * mu)
 
 
 def spectrum(n_nodes: int, theta, zeta, xi, eta=0.0) -> Spectrum:
@@ -60,8 +70,7 @@ def spectrum(n_nodes: int, theta, zeta, xi, eta=0.0) -> Spectrum:
     alpha = np.arctan2(sin_a, cos_t * np.cos(w - zeta))
     scalar = 2.0 * np.minimum(alpha, np.pi - alpha) <= DEGENERACY_TOL
     axes = np.divide(tilt, sin_a[..., None], out=np.zeros_like(tilt), where=~scalar[..., None])
-    mu = np.exp(1j * alpha[..., None] * [1.0, -1.0])  # (..., N, zone)
-    return Spectrum(np.angle(np.exp(0.5j * eta)[..., None] * mu), axes, scalar)
+    return Spectrum(alpha, eta, axes, scalar)
 
 
 def group_eigenphases(phases: NDArray[np.float64]) -> NDArray[np.int64]:

@@ -41,6 +41,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .angles import canonicalize
 from .asymptotics import _coin_gram, asymptotic_reduced_density
 from .coin import CoinParams, hadamard_params
 from .evolution import check_reduced_density
@@ -61,8 +62,9 @@ __all__ = [
 _MIXED_GAP_TOL = 1e-13
 # lambda2 at or below this means "pure": T = 0.
 _PURE_TOL = 1e-14
-# The phase scan solves at most this many (zeta, k) sectors per spectrum, at
-# about 370 bytes each, so its memory stays bounded for any N.
+# The phase scan solves at most this many (zeta, k) sectors per spectrum, so
+# its memory stays bounded for any N: traced, it peaks near 300 bytes per
+# sector of a chunk, of which spectrum peaks at 92 and keeps 33.
 _SCAN_SECTORS = 2**16
 
 
@@ -182,9 +184,11 @@ def coin_phase_temperature_scan(
     psis = momentum_spinors(state)  # (2, N); independent of the coin
     basis = psis[:, None, :, None] * np.eye(2)[:, None, None]
     c = np.exp(0.5j * np.outer([-1.0, 1.0], xis))
+    # the angles CoinParams would hold, so that zeta = pi is the coin at -pi
+    theta, wrapped = canonicalize(theta), np.array([canonicalize(z) for z in zetas])
     rows = max(1, _SCAN_SECTORS // n)
     temps = [
-        _scan_temperatures(spectrum(n, theta, zetas[i : i + rows], 0.0), basis, c)
+        _scan_temperatures(spectrum(n, theta, wrapped[i : i + rows], 0.0), basis, c)
         for i in range(0, zetas.size, rows)
     ]
     values = temperature_ratio(np.concatenate(temps), t0)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwcycle.asymptotics import _sector_parts, asymptotic_reduced_density, limiting_distribution
+from qwcycle.asymptotics import (
+    _coin_gram,
+    _sector_parts,
+    asymptotic_reduced_density,
+    limiting_distribution,
+)
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
 from qwcycle.evolution import time_avg_distribution, time_avg_reduced_density
 from qwcycle.reference import (
@@ -19,8 +24,9 @@ from qwcycle.reference import (
     solve_block,
     theta_matrix,
 )
-from qwcycle.spectral import DEGENERACY_TOL, spectrum
+from qwcycle.spectral import DEGENERACY_TOL, Spectrum, spectrum
 from qwcycle.state import Local, WalkState, make_state, momentum_spinors
+from qwcycle.thermo import bloch_temperature_scan, coin_phase_temperature_scan
 
 SWAP = np.array(
     [
@@ -138,6 +144,68 @@ def test_generic_coin_returns_uniform_before_the_parts(monkeypatch, rng):
     assert calls == []
     limiting_distribution(state, CoinParams(0.9, math.pi / n, 0.4, -1.1))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [2, 7, 12])
+@pytest.mark.parametrize(
+    "theta, zeta",
+    [
+        (0.7, 0.3),  # generic
+        (0.6, 3.0),  # zeta on the pi / N grid: blocks pair
+        (0.0, 3.0),  # diagonal coin: block k = 1 is scalar
+        (1e-11, 3.0),
+        (math.pi / 2, 0.3),  # every block shares its eigenvalues
+        (6.02e-10, 3.0),  # a near-scalar block at k = 1
+        (-4e-10, 3.0 + 1e-13),  # a scalar one
+    ],
+)
+def test_coin_gram_matches_literal_zone_sum(rng, n, theta, zeta):
+    # the one-product Gram against sum_{k,i} p_k^i p_k^i^dag over both zones
+    # of _sector_parts (a scalar block's psi_k whole in zone 0); zeta = 3.0
+    # stands for 2 pi / N, which puts zeta - w on 0 at k = 1
+    if zeta >= 3.0:
+        zeta = 2 * math.pi / n + (zeta - 3.0)
+    spinors = momentum_spinors(random_state(rng, n)).T
+    zetas = np.concatenate([[zeta, zeta + math.pi, -math.pi], np.linspace(-3.0, 3.0, 5)])
+    one = spectrum(n, theta, zeta, -1.1, 0.4)
+    bases = [
+        (one, spinors[None]),  # one state (rdcm)
+        (one, np.broadcast_to(np.eye(2)[:, None] / math.sqrt(n), (2, n, 2))),  # Bloch scan
+        # phase scan: a leading zeta axis
+        (spectrum(n, theta, zetas, 0.0), spinors[None, None] * np.eye(2)[:, None, None]),
+    ]
+    for spec, basis in bases:
+        parts = _sector_parts(spec, basis)
+        literal = np.einsum("a...kic,b...kid->...abcd", parts, parts.conj())
+        gram = _coin_gram(spec, basis)
+        assert gram.shape == literal.shape
+        assert np.abs(gram - literal).max() <= 1e-15
+
+
+def test_only_the_limiting_distribution_reads_eigenphases(monkeypatch, rng):
+    # spectrum stores alpha and eta; the eigenphases are formed on read, and
+    # only the degeneracy grouping of the limiting distribution needs them
+    phases = Spectrum.phases
+
+    def refuse(spec):
+        raise AssertionError("eigenphases read")
+
+    n = 8
+    coin = CoinParams(0.6, math.pi / n, 0.4, -1.1)  # on the grid: blocks pair
+    state = random_state(rng, n)
+    monkeypatch.setattr(Spectrum, "phases", property(refuse))
+    asymptotic_reduced_density(state, coin)
+    bloch_temperature_scan(coin, n, (0.0, math.pi, 3), (0.0, math.pi, 4))
+    coin_phase_temperature_scan(0.6, state, n, (-math.pi, math.pi, 5), (-math.pi, math.pi, 3))
+    reads = []
+
+    def counted(spec):
+        reads.append(spec)
+        return phases.fget(spec)
+
+    monkeypatch.setattr(Spectrum, "phases", property(counted))
+    limiting_distribution(state, coin)
+    assert len(reads) == 1
 
 
 def test_limiting_distribution_matches_oracle_with_degeneracy(rng):

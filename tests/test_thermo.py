@@ -141,7 +141,7 @@ def test_scans_take_one_spectrum(monkeypatch):
 
 def test_phase_scan_memory_is_bounded(monkeypatch):
     # 41 rows at N = 4096 are three chunks of _SCAN_SECTORS (zeta, k) sectors,
-    # traced near 24 MiB; one spectrum over every row peaks near 59 MiB
+    # traced near 19 MiB; one spectrum over every row peaks near 47 MiB
     args = 0.6, Local(0, 0.6, 0.8), 4096, (-math.pi, math.pi, 41), (-math.pi, math.pi, 21)
     tracemalloc.start()
     try:
@@ -210,3 +210,18 @@ def test_axis_resolution_validated():
 def test_phase_scan_rejects_non_finite_theta():
     with pytest.raises(ValueError):
         coin_phase_temperature_scan(math.nan, Local(0), 6, (0.0, 1.0, 2), (0.0, 1.0, 2))
+
+
+def test_phase_scan_wraps_zeta_like_coin_params():
+    # zeta = pi is the coin at -pi (CoinParams wraps it): at a near-pure coin
+    # the unwrapped angle's rounding moved the scan's last row from the per-point
+    # path by a factor of 3, against 6e-8 on its first row
+    n, theta, state = 2, 1e-7, Local(0)
+    axes = (-math.pi, math.pi, 21), (-math.pi, math.pi, 11)
+    grid = coin_phase_temperature_scan(theta, state, n, *axes)
+    assert grid.axis1[-1] == math.pi  # the axis stays as given
+    for row in (0, -1):
+        for j, xi in enumerate(grid.axis2):
+            t = _temperature(make_state(state, n), CoinParams(theta, grid.axis1[row], xi))
+            want = temperature_ratio(t, grid.reference_temperature)
+            assert abs(grid.values[row, j] - want) <= 1e-6 * abs(want), (row, j)
