@@ -11,16 +11,14 @@ oracle deterministic for tests.
 
 Two routes compute a time average over t = 1..t_max, and ``_window_sums``
 picks the cheaper for its input.  ``_walk`` steps X walks at once with one
-matmul and one index gather; it is ``evolve``'s kernel and the step-loop route,
-O(t_max) steps.  Binary doubling sums U^t rho U^-t over the window exactly:
-a seed steps the first m0 <= 2N terms (the top bits of t_max), then each
-remaining bit costs two dense 2N x 2N products.  U^m is block-circulant, as
-the walk commutes with translations, so it is kept as two columns and
-expanded once per bit.  Doubling uses no Fourier transform or spectral
-theory, so it stays independent of the closed forms it checks.
-``time_avg_distribution``, ``time_avg_reduced_density`` and the verification
-sweep go through ``_window_sums``.  The literal ``np.roll`` step and 2N x 2N
-average both routes are pinned to live in ``qwcycle.reference``.
+matmul and one index gather; it is ``evolve``'s kernel and the step-loop route.
+Binary doubling sums U^t rho U^-t over the window exactly, in O(N^2) work per
+bit of t_max on the momentum blocks of U^m.  It takes nothing from ``spectral``,
+``asymptotics`` or ``state.momentum_spinors``: no eigenvalue and no degeneracy
+tolerance, only translation invariance, so it stays independent of the closed
+forms it checks.  ``time_avg_distribution``, ``time_avg_reduced_density`` and
+the verification sweep go through ``_window_sums``; the literal ``np.roll`` step
+and 2N x 2N average both routes are pinned to live in ``qwcycle.reference``.
 """
 
 from __future__ import annotations
@@ -42,53 +40,42 @@ __all__ = [
 ]
 
 
-# The doubling route's whole footprint, seed included, may not exceed this:
-# up to 352 N^2 + 512 N bytes plus 256 KiB for one walk (``_doubling_chunk``),
-# so N <= 435 for every t_max.  Larger N steps in O(N) memory whatever t_max.
+# The doubling route's whole footprint may not exceed this: 224 N^2 + 800 N
+# + 8 KiB bytes per walk and 16 N^2 + 256 KiB besides (``_doubling_chunk``),
+# so N <= 526 for every t_max.  Larger N steps in O(N) memory whatever t_max.
 DOUBLING_MAX_BYTES = 2**26
 
 
-def _seed_split(n: int, steps: int) -> tuple[int, int]:
-    """(m0, s) with m0 = steps >> s the top bits of the window and s the least
-    shift that gives m0 <= 2N: the seed steps m0 times, doubling runs s bits."""
+def _seed_len(n: int, steps: int) -> int:
+    """m0 = steps >> s, the top bits of the window for the least shift s that
+    gives m0 <= 2N: doubling takes U^m from exact steps while m <= m0."""
     shift = max(0, steps.bit_length() - (2 * n).bit_length())
-    if steps >> shift > 2 * n:
-        shift += 1
-    return steps >> shift, shift
+    return steps >> shift if steps >> shift <= 2 * n else steps >> shift + 1
 
 
-def _doubling_chunk(n: int, m0: int) -> int:
-    """How many walks on N nodes the doubling route seeds at once within
-    ``DOUBLING_MAX_BYTES``; below 1 when not even one fits.  The route holds
-    four (2N)^2 complex buffers and the (2N)^2 expansion index (288 N^2
-    bytes), up to 256 KiB of numpy ufunc buffers while it forms psi psi^dag,
-    and per walk of a chunk its m0 stored seed states plus 16 (2, N) arrays:
-    its three walkers, their step temporaries and its outputs."""
-    return (DOUBLING_MAX_BYTES - 2**18 - 288 * n * n) // (32 * n * (m0 + 16))
+def _doubling_chunk(n: int) -> int:
+    """How many walks on N nodes the doubling route runs at once within
+    ``DOUBLING_MAX_BYTES``; below 1 when not even one fits.  A walk holds S,
+    two buffers and its wrapped diagonals (3.5 (2N)^2 complex) and O(N)
+    spinors and temporaries; the fold index and numpy's buffers are shared."""
+    return (DOUBLING_MAX_BYTES - 2**18 - 16 * n * n) // (16 * (14 * n * n + 50 * n + 512))
 
 
 def _doubling_is_cheaper(x: int, n: int, steps: int) -> bool:
     """Whether binary doubling beats the step loop for X walks on N nodes.
 
-    Both costs are in microseconds, fitted to best-of-3 timings on 2 cores
-    with OpenBLAS.  Doubling: per walk and remaining bit, two (2N)^3 products
-    and the O(N^2) expansion and sums; per walk, the seed's (2N)^2 m0 product;
-    and m0 seed steps of 3X walkers (fitted at X in {1, 2, 5, 20, 100},
-    N = 3..256 and t_max = 50..2e5).  The step loop: per step at X in
-    {1, 2, 5, 20, 100, 400} and N = 4..400.  Above ``DOUBLING_MAX_BYTES`` it
-    steps whatever the cost.  Doubling vs step loop in two runs: 63-71 vs
-    21-34 ms at X = 1, N = 256, T = 2000; 0.29-0.32 vs 0.20-0.24 s at
-    X = 100, N = 64, T = 2000; 0.49-0.60 vs 1.02-1.16 s at X = 20, N = 128,
-    T = 2e4.
+    Costs in microseconds, fitted to best-of-3 timings on 2 cores: doubling
+    once, per bit of t_max (a constant and a + b N^2 per walk) and per seed
+    step (X in {1, 2, 5, 20, 100}, N = 3..400, t_max = 1..2e5); the step loop
+    per step (X up to 400, N = 4..400).  Above ``DOUBLING_MAX_BYTES`` it
+    steps.  Doubling vs step loop: 313 vs 199 ms at X = 100, N = 64,
+    T = 2000; 48 vs 20 ms at X = 1, N = 256, T = 2000, 62 vs 207 ms at 2e4.
     """
-    m0, bits = _seed_split(n, steps)
-    if _doubling_chunk(n, m0) < 1:
+    if _doubling_chunk(n) < 1:
         return False
-    d = 2 * n
-    doubling = x * (bits * (9.4 + 0.019 * d * d + 1.35e-4 * d**3) + 27 + 1.14e-4 * d * d * m0)
-    doubling += m0 * (15.5 + 0.038 * x * n)
-    stepping = steps * (7.2 + x * (0.33 + 0.016 * n))
-    return doubling <= stepping
+    m0, bits = _seed_len(n, steps), steps.bit_length() - 1
+    doubling = 113 + bits * (27 + x * (1.5 + 0.051 * n * n)) + x * n * (0.055 * m0 + 0.04 * n)
+    return doubling <= steps * (7.2 + x * (0.23 + 0.0134 * n))
 
 
 def _unitary(coins: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -163,69 +150,82 @@ def _stepped_sums(
         conj = amps.conj()
         probs += (amps * conj).real
         cross += amps[:, 0] * conj[:, 1]
+    _check_drift(probs.sum(axis=(1, 2)), steps, np.asarray(coins), steps)
     return _averages(probs, cross.sum(axis=1), steps)
+
+
+def _check_drift(
+    total: NDArray[np.float64], m: int, coins: NDArray[np.complex128], t_max: int
+) -> None:
+    """Raise unless the norm sums ``total`` (X,) of X walks over their first m
+    steps are m within 1e-10 m.  A rounded coin is unitary only to ~eps, and
+    over a long window that error compounds; this names it before it overflows."""
+    if not np.abs(total - m).max() <= 1e-10 * m:
+        x = np.argmax(~(np.abs(total - m) <= 1e-10 * m))  # the first walk off, NaN included
+        defect = np.abs(coins[x].conj().T @ coins[x] - np.eye(2)).max()
+        raise ValueError(
+            f"t_max = {t_max} is too long for this coin: the averaged distribution sums to 1 only"
+            f" within {abs(total[x] / m - 1):.1e} after {m} steps, as the rounded coin"
+            f" {coins[x].tolist()} is unitary only to {defect:.1e} and that error compounds"
+        )
 
 
 def _doubled_sums(
     coins: NDArray[np.complex128], grids: NDArray[np.complex128], steps: int
 ) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
-    """The window averages by a stepped seed and binary doubling.
+    """The window averages by binary doubling on momentum blocks.
 
-    Per instance, S(m) = sum_{t=1..m} U^t rho U^-t on the 2N x 2N density.
-    The seed steps the walk m0 <= 2N times, m0 the top bits of t_max, and
-    forms S(m0) = L L^dag from the stored states in one product.  Each of the
-    s remaining bits doubles, S(2m) = S(m) + P (P S(m))^dag with P = U^m (S(m)
-    is Hermitian), in two dense products; a 1 bit then adds the next term,
-    S(m + 1) = S(m) + U^(m+1) rho U^-(m+1).
-
-    U^m commutes with translations, so it is block-circulant:
-    U^m[(s, v), (a, j)] = (U^m e_{a,0})[(s, v - j mod N)].  Each instance
-    keeps only W = U^m (e_{0,0}, e_{1,0}, psi): the seed steps them beside the
-    walk, one flat ``np.take`` expands the dense P from the first two, a
-    doubling squares them all as P W, and a 1 bit steps them through the coin
-    matmul and shift gather of ``_walk``.  Walks are seeded in chunks of
-    ``_doubling_chunk``, so the whole footprint, seed included, stays within
-    ``DOUBLING_MAX_BYTES``.
+    U^m is block-diagonal in momentum, so S(m) = sum_{t=1..m} U^t rho U^-t
+    splits into 2x2 blocks S[k, l].  From the top bit of t_max down, S(2m)
+    adds P_k S[k, l] P_l^dag, P = U^m, and a 1 bit adds u u^dag, u = U^(2m+1)
+    psi.  While m <= m0 <= 2N, W = (P | u) is one FFT of e_{0,0}, e_{1,0} and
+    psi stepped exactly by ``_walk``; past m0, W <- P W, then B W on a 1 bit,
+    B = U^1.  sum_s |a_s(v)|^2 folds the wrapped diagonals of S[s, s], and
+    tr S[0, 1] is the coherence.
     """
     coins = _unitary(coins)
     x, _, n = grids.shape
-    m0, bits = _seed_split(n, steps)
-    source = _shift_source(n)
-    a, v = np.arange(2), np.arange(n)
-    expand = n * a[:, None, None, None] + ((v[:, None] - v) % n)[:, None, :] + 2 * n * a[:, None]
-    expand = expand.reshape(2 * n, 2 * n)  # U^m[(s, v), (a, j)] from W's flat (a, (s, v))
-    units = np.zeros((2, 2, n), dtype=np.complex128)
-    units[0, 0, 0] = units[1, 1, 0] = 1.0  # e_{0,0} and e_{1,0}
-    chunk = min(x, max(1, _doubling_chunk(n, m0)))
-    stored = np.empty((chunk, m0, 2 * n), dtype=np.complex128)
-    acc, power, s1, s2 = (np.empty((2 * n, 2 * n), dtype=np.complex128) for _ in range(4))
-    probs = np.empty((x, 2, n))
-    coherence = np.empty(x, dtype=np.complex128)
+    m0, k = _seed_len(n, steps), np.arange(n)
+    # S[s, k, s, k - d] at (s, k, d) of the flat (2N)^2 matrix: the wrapped diagonals of S[s, s]
+    fold = k[:, None] * 2 * n + (k[:, None] - k) % n + np.array([0, (2 * n + 1) * n])[:, None, None]
+    chunk = min(x, max(1, _doubling_chunk(n)))
+    probs, coherence = np.empty((x, 2, n)), np.empty(x, dtype=np.complex128)
+    buffers = np.empty((3, chunk, 2 * n, 2 * n), dtype=np.complex128)  # S and two buffers
     for lo in range(0, x, chunk):
-        c = min(chunk, x - lo)
-        part = slice(lo, lo + c)
-        walkers = np.concatenate([np.broadcast_to(units, (c, 2, 2, n)), grids[part, None]], axis=1)
-        walks = _walk(np.repeat(coins[part], 3, axis=0), walkers.reshape(3 * c, 2, n), m0)
-        for t, amps in enumerate(walks):
-            stored[:c, t] = amps[2::3].reshape(c, 2 * n)
-        for i in range(c):
-            coin, w = coins[lo + i], amps.reshape(c, 3, 2 * n)[i]
-            conj = s2.reshape(-1)[: m0 * 2 * n].reshape(m0, 2 * n)
-            np.conjugate(stored[i], out=conj)
-            np.matmul(stored[i].T, conj, out=acc)  # S(m0) = L L^dag
-            for k in range(bits - 1, -1, -1):
-                w.take(expand, out=power, mode="wrap")
-                np.matmul(power, acc, out=s1)
-                np.conjugate(s1, out=s1)
-                np.matmul(power, s1.T, out=s2)
-                acc += s2
-                w = np.matmul(w, power.T)  # U^2m (e_{0,0}, e_{1,0}, psi)
-                if steps >> k & 1:
-                    w = np.matmul(coin, w.reshape(3, 2, n)).reshape(3, 2 * n).take(source, axis=1)
-                    np.multiply(w[2, :, None], w[2].conj(), out=s2)
-                    acc += s2
-            probs[lo + i] = acc.diagonal().real.reshape(2, n)
-            coherence[lo + i] = acc[:n, n:].trace()
+        c, part = min(chunk, x - lo), slice(lo, lo + chunk)
+        walkers = np.zeros((c, 3, 2, n), dtype=np.complex128)
+        walkers[:, 0, 0, 0] = walkers[:, 1, 1, 0] = 1.0  # e_{0,0} and e_{1,0}
+        walkers[:, 2] = grids[part]
+        walk = _walk(np.repeat(coins[part], 3, axis=0), walkers.reshape(3 * c, 2, n), m0)
+        w = step = np.fft.fft(next(walk).reshape(c, 3, 2, n)).swapaxes(1, 2)  # (B | u)[x, s, j, k]
+        u = w[:, :, 2].reshape(c, 2 * n)
+        sums, turned, scratch = buffers[:, :c]
+        np.multiply(u[:, :, None], u[:, None].conj(), out=sums)  # S(1) over [x, (s, k), (r, l)]
+        blocks, half, half2 = (a.reshape(c, 2, n, 2, n) for a in (sums, turned, scratch))
+        for bit in range(steps.bit_length() - 2, -1, -1):
+            power, back, m = w[:, :, :2], w[:, :, :2].conj(), steps >> bit
+            # turned[s, a] = sum_b P_k[s, b] S[b, a]; S[s, r] += sum_a turned[s, a] conj(P_l[r, a])
+            np.multiply(power[:, :, 0, :, None, None], blocks[:, None, 0], out=half)
+            np.multiply(power[:, :, 1, :, None, None], blocks[:, None, 1], out=half2)
+            turned += scratch
+            for a in range(2):
+                np.multiply(half[:, :, :, None, a], back[:, None, None, :, a], out=half2)
+                sums += scratch
+            if m <= m0:  # W from exact steps
+                for _ in range(m - m // 2):
+                    amps = next(walk)
+                w = np.fft.fft(amps.reshape(c, 3, 2, n)).swapaxes(1, 2)
+            else:
+                for p in (power, step[:, :, :2])[: 1 + m % 2]:  # W <- P W, then B W on a 1 bit
+                    w = p[:, :, 0, None] * w[:, None, 0] + p[:, :, 1, None] * w[:, None, 1]
+            if m & 1:
+                u = w[:, :, 2].reshape(c, 2 * n)
+                np.multiply(u[:, :, None], u[:, None].conj(), out=scratch)
+                sums += scratch
+            trace = sums.reshape(c, -1)[:, :: 2 * n + 1].real.sum(axis=1)
+            _check_drift(trace / n, m, coins[part], steps)
+        probs[part] = np.fft.ifft(np.take(sums.reshape(c, -1), fold, axis=1).sum(axis=2)).real / n
+        coherence[part] = np.trace(sums[:, :n, n:], axis1=1, axis2=2) / n
     return _averages(probs, coherence, steps)
 
 

@@ -230,6 +230,18 @@ def test_non_finite_local_spinor_is_named(capsys):
     assert "local coin spinor must be finite, got ((nan+0j), 0j)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nodes, tmax", [("5", "1e7"), ("3", "1e20")])
+def test_window_too_long_for_the_rounded_coin_is_named(nodes, tmax, capsys):
+    # the rounded coin is unitary only to ~2e-16; over these windows that
+    # error compounds past 1e-10, and at 1e20 it would overflow the sums
+    args = ["simulate", "-N", nodes, "--coin", "u2:0.7,0.3,0.2,0.1", "--tmax", tmax]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"t_max = {int(float(tmax))} is too long for this coin" in err
+    assert "sums to 1 only within" in err and "the rounded coin [[" in err
+    assert "is unitary only to" in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qwcycle.cli", "ld", "-N", "4"],

@@ -115,6 +115,16 @@ def test_evolve_rejects_non_unitary_coin():
                 route(coin[None], s.as_grid()[None], 2_000)
 
 
+def test_window_drift_names_t_max_and_the_coin():
+    # unitary within 1e-10, so both routes take it; its excess norm compounds
+    # past 1e-10 of the window's sum within a few steps
+    s = make_state(Local(0), 4)
+    coin = build_coin(hadamard_params()) * (1 + 4e-11)
+    for route in (_doubled_sums, _stepped_sums):
+        with pytest.raises(ValueError, match=r"t_max = 100 is too long for this coin.*unitary only to"):
+            route(coin[None], s.as_grid()[None], 100)
+
+
 def test_reduced_average_consistent_with_full_density(rng):
     coin = build_coin(CoinParams(0.7, 0.5, -0.9, 0.0))
     s = random_state(rng, 5)

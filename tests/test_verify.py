@@ -42,7 +42,7 @@ def test_batched_window_sums_match_density_reference(monkeypatch, rng):
     """Both routes, pinned per instance to the literal np.roll 2N x 2N average,
     and the doubling route to the step loop, on every short bit pattern of the
     window, on degenerate coins and across the seed's boundaries; a chunked
-    seed changes no bit."""
+    run changes no bit."""
     n, t, count = 5, 400, 4
     coins = sample_coins(rng, n, count)
     mats = np.array([build_coin(c) for c in coins])
@@ -92,9 +92,8 @@ def test_batched_window_sums_match_density_reference(monkeypatch, rng):
         assert np.abs(dist - step_dist).max() <= 1e-13, t
         assert np.abs(rho - step_rho).max() <= 1e-13, t
 
-    # a cap that seeds X = 5 walks in chunks of 2, 2 and 1
+    # a cap that runs X = 5 walks in chunks of 2, 2 and 1
     n, t, x = 12, 3001, 5
-    m0, _ = evolution._seed_split(n, t)
     thetas = (0.9, 0.0, 0.3, math.pi / 2, 1.2)
     coins = np.array([build_coin(CoinParams(th, -0.4, 1.3, 0.2)) for th in thetas])
     grids = np.stack([_random_grid(rng, n) for _ in range(x)])
@@ -108,22 +107,35 @@ def test_batched_window_sums_match_density_reference(monkeypatch, rng):
 
     walk = evolution._walk
     monkeypatch.setattr(evolution, "_walk", counted)
-    # room for the fixed buffers and two walks' seed states, not three
-    cap = 2**18 + 288 * n * n + 2 * 32 * n * (m0 + 16)
+    # room for the fixed buffers and two walks, not three
+    cap = 2**18 + 16 * n * n + 2 * 16 * (14 * n * n + 50 * n + 512)
     monkeypatch.setattr(evolution, "DOUBLING_MAX_BYTES", cap)
     chunked = _doubled_sums(coins, grids, t)
     assert walkers == [6, 6, 3]  # each walk steps beside its two unit vectors
     assert np.array_equal(chunked[0], whole[0]) and np.array_equal(chunked[1], whole[1])
 
 
+def test_doubling_matches_step_loop_over_long_windows(rng):
+    """Past the seed every bit squares the momentum blocks, so their rounding
+    compounds over the window; at T = 30 000 it stays within 1e-12."""
+    for n in (3, 8, 40):
+        grids = np.stack([_random_grid(rng, n) for _ in range(3)])
+        for theta in (0.9, 0.0):
+            stack = np.broadcast_to(build_coin(CoinParams(theta, -0.4, 1.3, 0.2)), (3, 2, 2))
+            dist, rho = _doubled_sums(stack, grids, 30_000)
+            step_dist, step_rho = _stepped_sums(stack, grids, 30_000)
+            assert np.abs(dist - step_dist).max() <= 1e-12, (n, theta)
+            assert np.abs(rho - step_rho).max() <= 1e-12, (n, theta)
+
+
 def test_doubling_footprint_stays_within_the_cap(monkeypatch, rng):
-    # a 2 MiB cap seeds 50 walks on 32 nodes in chunks; numpy traces its arrays
+    # a 2 MiB cap runs 50 walks on 32 nodes in chunks; numpy traces its arrays
     cap, n, x = 2**21, 32, 50
     monkeypatch.setattr(evolution, "DOUBLING_MAX_BYTES", cap)
     grids = np.stack([_random_grid(rng, n) for _ in range(x)])
     coins = np.broadcast_to(build_coin(CoinParams(0.9, -0.4, 1.3, 0.2)), (x, 2, 2))
     for t in (2 * n, 2001):
-        assert 1 < evolution._doubling_chunk(n, evolution._seed_split(n, t)[0]) < x
+        assert 1 < evolution._doubling_chunk(n) < x
         tracemalloc.start()
         try:
             _doubled_sums(coins, grids, t)
@@ -134,27 +146,32 @@ def test_doubling_footprint_stays_within_the_cap(monkeypatch, rng):
 
 
 def test_window_sums_pick_the_cheaper_route(monkeypatch):
-    # doubling costs ~(2N)^3 per walk and bit of t_max past a seed of <= 2N
-    # steps, the step loop a time per step that grows with X N; the spies
-    # record the route without running it
+    # doubling costs ~a + b N^2 per walk and bit of t_max, the step loop a
+    # time per step that grows with X N; the spies record the route without
+    # running it.  Times are doubling vs step loop.
     taken = []
     for name in ("_doubled_sums", "_stepped_sums"):
         monkeypatch.setattr(f"qwcycle.evolution.{name}", lambda *args, name=name: taken.append(name))
     coin = build_coin(CoinParams(0.9, -0.4, 1.3, 0.2))
     cases = {
         (1, 8, 200_000): "_doubled_sums",
-        (1, 400, 50): "_stepped_sums",
-        (2, 64, 40_000): "_doubled_sums",  # the bench's oracle_sweep stack
-        (100, 64, 2000): "_stepped_sums",  # verify's default 20 x 5 draws
-        (100, 64, 20_000): "_doubled_sums",
-        (20, 128, 20_000): "_doubled_sums",  # 0.49-0.60 vs 1.02-1.16 s; these two
-        (1, 256, 20_000): "_doubled_sums",  # 0.17 vs 0.32-0.33 s; stepped before the seed
-        (1, 600, 10**9): "_stepped_sums",  # over the 64 MiB cap, which holds doubling to N <= 435
+        (1, 400, 50): "_stepped_sums",  # 51 vs 0.7 ms
+        (2, 64, 40_000): "_doubled_sums",  # the bench's oracle_sweep stack, 6 vs 355 ms
+        (1, 24, 2000): "_doubled_sums",  # the bench's cli simulate, 0.8 vs 22 ms
+        (100, 64, 2000): "_stepped_sums",  # verify's default 20 x 5 draws, 296-313 vs 198 ms
+        (100, 64, 20_000): "_doubled_sums",  # 389 vs 2037 ms
+        (20, 128, 20_000): "_doubled_sums",  # 288 vs 802 ms
+        (1, 256, 2000): "_stepped_sums",  # 47-48 vs 20 ms
+        (1, 256, 20_000): "_doubled_sums",  # 62 vs 207 ms
+        (1, 526, 10**9): "_doubled_sums",
+        (1, 527, 10**9): "_stepped_sums",  # over the 64 MiB cap, which holds doubling to N <= 526
     }
     for x, n, t in cases:
         grids = np.broadcast_to(make_state(Local(0), n).as_grid(), (x, 2, n))
         _window_sums(np.broadcast_to(coin, (x, 2, 2)), grids, t)
     assert taken == list(cases.values())
+    # every stack the bench's oracle_sweep runs stays on doubling
+    assert all(evolution._doubling_is_cheaper(2, n, 40_000) for n in [*range(3, 13), *range(48, 65)])
 
 
 def test_small_sweep_passes():
