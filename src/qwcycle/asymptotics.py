@@ -1,9 +1,11 @@
 """Infinite-time averages in closed form.
 
 Time-averaging projects the initial state onto each group of coinciding
-eigenphases (``spectral.group_eigenphases``) and drops the coherences between
-groups.  Both observables read the sector spinors psi_k against the arrays of
-``spectral.spectrum``: the two zones of block k project with
+eigenphases and drops the coherences between groups.  The coin's angles name
+the groups (``spectral``): the pairs k + k' = m (mod N) when zeta sits on the
+pi / N grid, every block of a zone at theta = +/-pi/2, and otherwise single
+eigenphases.  Both observables read the sector spinors psi_k against the
+arrays of ``spectral.spectrum``: the two zones of block k project with
 P_k^+/- = (1 +/- M_k)/2, M_k = m_k.sigma about its rotation axis m_k, and a
 scalar block, which has no axis, passes psi_k whole.  The limiting
 distribution needs each part p_k^+/- = P_k^+/- psi_k (``_sector_parts``) for
@@ -24,7 +26,7 @@ from numpy.typing import NDArray
 
 from .coin import CoinParams
 from .evolution import check_distribution, check_reduced_density
-from .spectral import Spectrum, group_eigenphases, spectrum
+from .spectral import DEGENERACY_TOL, Spectrum, spectrum
 from .state import WalkState, momentum_spinors
 
 __all__ = ["asymptotic_reduced_density", "limiting_distribution"]
@@ -81,33 +83,34 @@ def limiting_distribution(state0: WalkState, coin: CoinParams) -> NDArray[np.flo
     """Infinite-time-averaged node distribution pi(v) = sum_g |P_g psi (v)|^2.
 
     P_g projects onto one group of coinciding eigenphases: each (k, zone) adds
-    its part from ``_sector_parts``.  Groups of one add uniformly, the cross
-    terms of all groups of two go through one inverse FFT, and larger groups
-    (all N blocks at theta = pi/2) one each.  Exactly uniform when no group
-    spans two blocks, which is decided before any part is built.  Negative
-    entries above -1e-12 (float dust) are clipped and the vector renormalized.
+    its part from ``_sector_parts``.  Two spreads, each held against
+    DEGENERACY_TOL, decide the groups before any spectrum is built.  With
+    m = round(N zeta / pi), partners k' = (m - k) mod N differ in phase by at
+    most 2|zeta - m pi / N|; when that is within the tolerance their cross
+    terms go through one inverse FFT.  Each zone spans 2|cos theta|; when that
+    is within the tolerance, all N blocks of a zone form one group, one inverse
+    FFT over (k, zone, comp).  Otherwise the result is exactly uniform.  A
+    scalar block is its own partner and adds no cross term.  Negative entries
+    above -1e-12 (float dust) are clipped and the vector renormalized.
     """
     n = state0.n_nodes
-    spec = spectrum(n, *astuple(coin))
-    keep = np.stack([np.ones(n, dtype=bool), ~spec.scalar], axis=1)  # scalar: zone 1 holds 0
-    labels = group_eigenphases(spec.phases)[keep]
-    size = np.bincount(labels)[labels]
-    if size.max() == 1:
+    m = round(n * coin.zeta / np.pi)
+    paired = abs(coin.zeta - m * np.pi / n) <= 0.5 * DEGENERACY_TOL
+    zoned = abs(np.cos(coin.theta)) <= 0.5 * DEGENERACY_TOL
+    if not (paired or zoned):
         return np.full(n, 1.0 / n)
 
-    ks = np.nonzero(keep)[0]
-    parts = _sector_parts(spec, momentum_spinors(state0).T)[keep]
-    probs = np.full(n, (np.abs(parts[size <= 2]) ** 2).sum() / n)
-    order = np.argsort(labels, kind="stable")
-    a, b = order[size[order] == 2].reshape(-1, 2).T  # the two members of each pair
-    inner = np.einsum("ma,ma->m", parts[b].conj(), parts[a])
-    shift = (ks[a] - ks[b]) % n
-    cross = np.bincount(shift, inner.real, n) + 1j * np.bincount(shift, inner.imag, n)
-    probs += 2.0 * np.fft.ifft(cross).real
-    for g in np.flatnonzero(np.bincount(labels) > 2):
-        amps = np.zeros((n, 2), dtype=np.complex128)
-        np.add.at(amps, ks[labels == g], parts[labels == g])
-        probs += n * (np.abs(np.fft.ifft(amps, axis=0)) ** 2).sum(axis=1)
+    parts = _sector_parts(spectrum(n, *astuple(coin)), momentum_spinors(state0).T)
+    if zoned:
+        probs = n * (np.abs(np.fft.ifft(parts, axis=0)) ** 2).sum(axis=(1, 2))
+    else:
+        ks = np.arange(n)
+        partner = (m - ks) % n
+        inner = np.einsum("kic,kic->k", parts[partner].conj(), parts)
+        inner[partner == ks] = 0.0  # a self-paired block has no cross term
+        shift = (ks - partner) % n
+        cross = np.bincount(shift, inner.real, n) + 1j * np.bincount(shift, inner.imag, n)
+        probs = (np.abs(parts) ** 2).sum() / n + np.fft.ifft(cross).real
 
     probs[(probs < 0) & (probs > -1e-12)] = 0.0
     probs /= probs.sum()

@@ -161,15 +161,15 @@ class DegeneracyTable:
 def degeneracy_table(coin: CoinParams, n_nodes: int) -> DegeneracyTable:
     """Detect the k + k' = N zeta / pi (mod N) pairing.
 
-    The pairing exists iff N (1 + zeta/pi) is an integer to within
-    DEGENERACY_TOL, which rational-of-pi inputs meet for any realistic N.  It
-    misses theta = pi/2, where every block is degenerate.
+    With r = round(N zeta / pi), partners k' = (r - k) mod N differ in
+    eigenphase by at most 2|zeta - r pi / N|, so they pair when that spread is
+    within DEGENERACY_TOL, which rational-of-pi inputs meet for any realistic
+    N.  It misses theta = pi/2, where every block is degenerate.
     """
     n = int(n_nodes)
-    m = n * (1.0 + coin.zeta / math.pi)
+    r = round(n * coin.zeta / math.pi)
     pairs: dict[int, int] = {}
-    if abs(m - round(m)) <= DEGENERACY_TOL:
-        r = round(n * coin.zeta / math.pi)
+    if abs(coin.zeta - r * math.pi / n) <= 0.5 * DEGENERACY_TOL:
         pairs = {k: (r - k) % n for k in range(n)}
     return DegeneracyTable(
         pairs=pairs, self_paired=frozenset(k for k, kp in pairs.items() if k == kp)

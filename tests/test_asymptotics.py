@@ -24,9 +24,8 @@ from qwcycle.reference import (
     solve_block,
     theta_matrix,
 )
-from qwcycle.spectral import DEGENERACY_TOL, Spectrum, spectrum
+from qwcycle.spectral import DEGENERACY_TOL, spectrum
 from qwcycle.state import Local, WalkState, make_state, momentum_spinors
-from qwcycle.thermo import bloch_temperature_scan, coin_phase_temperature_scan
 
 SWAP = np.array(
     [
@@ -128,8 +127,8 @@ def test_limiting_distribution_uniform_without_degeneracy():
 
 
 def test_generic_coin_returns_uniform_before_the_parts(monkeypatch, rng):
-    # N (1 + zeta / pi) half-way between integers pairs no two blocks, so the
-    # answer is 1/N before any sector part is built; a grid coin still builds them
+    # zeta half-way between points of the pi / N grid pairs no two blocks, so
+    # the answer is 1/N before any sector part is built; a grid coin builds them
     calls = []
 
     def counted(*args):
@@ -182,30 +181,19 @@ def test_coin_gram_matches_literal_zone_sum(rng, n, theta, zeta):
         assert np.abs(gram - literal).max() <= 1e-15
 
 
-def test_only_the_limiting_distribution_reads_eigenphases(monkeypatch, rng):
-    # spectrum stores alpha and eta; the eigenphases are formed on read, and
-    # only the degeneracy grouping of the limiting distribution needs them
-    phases = Spectrum.phases
+def test_off_grid_coin_is_uniform_without_a_spectrum(monkeypatch, rng):
+    # |zeta - m pi / N| above half the tolerance pairs no blocks and |cos theta|
+    # above it splits every zone, so 1/N follows from the angles alone
+    def refuse(*args):
+        raise AssertionError("spectrum built")
 
-    def refuse(spec):
-        raise AssertionError("eigenphases read")
-
+    monkeypatch.setattr("qwcycle.asymptotics.spectrum", refuse)
     n = 8
-    coin = CoinParams(0.6, math.pi / n, 0.4, -1.1)  # on the grid: blocks pair
     state = random_state(rng, n)
-    monkeypatch.setattr(Spectrum, "phases", property(refuse))
-    asymptotic_reduced_density(state, coin)
-    bloch_temperature_scan(coin, n, (0.0, math.pi, 3), (0.0, math.pi, 4))
-    coin_phase_temperature_scan(0.6, state, n, (-math.pi, math.pi, 5), (-math.pi, math.pi, 3))
-    reads = []
-
-    def counted(spec):
-        reads.append(spec)
-        return phases.fget(spec)
-
-    monkeypatch.setattr(Spectrum, "phases", property(counted))
-    limiting_distribution(state, coin)
-    assert len(reads) == 1
+    edge = (math.pi / 2 - 2 * DEGENERACY_TOL, math.pi / n + DEGENERACY_TOL)
+    for theta, zeta in [(0.6, 0.3), edge]:
+        ld = limiting_distribution(state, CoinParams(theta, zeta, 0.4, -1.1))
+        assert np.array_equal(ld, np.full(n, 1.0 / n))
 
 
 def test_limiting_distribution_matches_oracle_with_degeneracy(rng):
@@ -317,7 +305,7 @@ def test_half_pi_matches_dense(rng, n):
 
 
 @given(
-    st.sampled_from([0.0, math.pi / 2]),
+    st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi / 2 - 2e-10]),
     st.integers(min_value=2, max_value=16),
     st.integers(min_value=-16, max_value=16),
     st.sampled_from([0.0, 1e-12, -1e-12, 3e-13]),
@@ -334,6 +322,40 @@ def test_degenerate_families_match_dense(theta, n, m, dz, xi, eta, seed):
     assert np.abs(asymptotic_reduced_density(state, coin) - rho_ref).max() < 1e-10
 
 
+NEAR_HALF_PI = [math.pi / 2 - d for d in (1e-8, 1e-7, 1e-6, 1e-5)]
+COS_005 = -1.520740326068632  # cos(theta) = 0.050
+
+
+def test_near_half_pi_off_the_grid_is_uniform(rng):
+    # each zone spans 2 |cos theta| >= 2e-8, far above the tolerance, however
+    # densely its N eigenphases crowd together: no two blocks coincide
+    for n in (64, 1024, 4096):
+        state = random_state(rng, n)
+        for theta in NEAR_HALF_PI:
+            ld = limiting_distribution(state, CoinParams(theta, 0.37, 0.4, -1.1))
+            assert np.abs(ld - 1.0 / n).max() <= 1e-15
+
+
+def test_pairs_just_off_the_grid_stay_apart(rng):
+    # some partners sit within 1e-9 of each other, yet 2 |zeta - m pi / N| is
+    # 2e-8 or more: no pair coincides, and the limit is exactly 1/N
+    n = 33
+    state = random_state(rng, n)
+    for dz in (1e-8, 1e-7):
+        ld = limiting_distribution(state, CoinParams(COS_005, 5 * math.pi / n + dz, 0.4, -1.1))
+        assert np.abs(ld - 1.0 / n).max() <= 1e-15
+
+
+def test_near_half_pi_on_the_grid_pairs_only(rng):
+    # on the grid the same coins pair k + k' = m, and their zones stay split
+    cases = [(n, t, round(0.37 * n / math.pi)) for n in (64, 1024, 4096) for t in NEAR_HALF_PI]
+    for n, theta, m in cases + [(33, COS_005, 5)]:
+        coin = CoinParams(theta, m * math.pi / n, 0.4, -1.1)
+        state = random_state(rng, n)
+        ld_ref, _ = pair_sum_reference(state, coin)
+        assert np.abs(limiting_distribution(state, coin) - ld_ref).max() <= 1e-13
+
+
 def test_large_cycle_limiting_distribution(rng):
     n = 2**17
     coin = CoinParams(0.7, 2 * math.pi * 12345 / n, 0.4, 0.2)
@@ -344,7 +366,8 @@ def test_large_cycle_limiting_distribution(rng):
     # tr Theta(k, k') = sum_i <p_k'^i | p_k^i> with p_k^+/- = (1 +/- m_k.sigma) psi_k / 2
     pairs = np.array(degeneracy_table(coin, n).cross_pairs())
     spec = spectrum(n, coin.theta, coin.zeta, coin.xi, coin.eta)
-    assert np.abs(spec.phases[pairs[:, 0]] - spec.phases[pairs[:, 1]]).max() < 1e-12
+    lam = np.exp(1j * (0.5 * spec.eta[..., None] + spec.alpha[..., None] * [1.0, -1.0]))
+    assert np.abs(lam[pairs[:, 0]] - lam[pairs[:, 1]]).max() < 1e-12
     assert not spec.scalar.any()
     pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     turn = np.einsum("ka,abc->kbc", spec.axes, pauli)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
 from qwcycle.reference import block, degeneracy_table, solve_all_blocks, solve_block
-from qwcycle.spectral import DEGENERACY_TOL, group_eigenphases, spectrum
+from qwcycle.spectral import DEGENERACY_TOL, spectrum
 
 angle = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)
 coin_strategy = st.builds(CoinParams, theta=angle, zeta=angle, xi=angle, eta=angle)
@@ -96,6 +96,12 @@ def test_degeneracy_requires_rational_zeta():
     # zeta = 2pi/10 is on the grid for N = 10
     table = degeneracy_table(CoinParams(0.7, 2 * math.pi / 10, 0.1), 10)
     assert table.pairs and all((k + kp - 2) % 10 == 0 for k, kp in table.pairs.items())
+    # partners differ in eigenphase by 2 |zeta - r pi / N| at any N: 1e-10 off
+    # the grid pairs every block at N = 4096, 1e-9 off pairs none
+    n = 4096
+    table = degeneracy_table(CoinParams(0.7, 700 * math.pi / n + 1e-10, 0.1), n)
+    assert table.pairs == {k: (700 - k) % n for k in range(n)}
+    assert degeneracy_table(CoinParams(0.7, 700 * math.pi / n + 1e-9, 0.1), n).pairs == {}
 
 
 def test_degenerate_partners_share_spectrum():
@@ -109,6 +115,11 @@ def test_degenerate_partners_share_spectrum():
         for i in (0, 1):
             gap = abs(blocks[k].eigenvalues[i] - blocks[kp].eigenvalues[i])
             assert gap < 1e-12
+
+
+def eigenvalues(spec):
+    """e^{i (eta/2 +/- alpha)} of every block, S + (N, zone)."""
+    return np.exp(1j * (0.5 * spec.eta[..., None] + spec.alpha[..., None] * [1.0, -1.0]))
 
 
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -132,8 +143,9 @@ def projectors(axis):
 @example(CoinParams(3.633074247718254e-06, 3.633074247718254e-06, 0.0, 0.0), 2)
 def test_spectrum_matches_solve_block(coin, n):
     spec = spectrum(n, coin.theta, coin.zeta, coin.xi, coin.eta)
+    lam = eigenvalues(spec)
     for kb in solve_all_blocks(coin, n):
-        assert np.abs(np.exp(1j * spec.phases[kb.k]) - kb.eigenvalues).max() < 1e-14
+        assert np.abs(lam[kb.k] - kb.eigenvalues).max() < 1e-14
         scalar = 2 * min(kb.alpha, math.pi - kb.alpha) <= DEGENERACY_TOL
         assert spec.scalar[kb.k] == scalar
         axis = spec.axes[kb.k]
@@ -151,11 +163,11 @@ def test_spectrum_matches_solve_block(coin, n):
 def test_spectrum_broadcasts_coin_axes():
     xis = np.linspace(-3.0, 3.0, 4)
     spec = spectrum(6, 0.7, np.array([[0.1], [0.2], [0.3]]), xis, 0.5)
-    assert spec.phases.shape == (3, 4, 6, 2)
+    assert eigenvalues(spec).shape == (3, 4, 6, 2)
     assert spec.axes.shape == (3, 4, 6, 3)
     one = spectrum(6, 0.7, 0.2, xis[2], 0.5)
     assert np.abs(spec.axes[1, 2] - one.axes).max() < 1e-15
-    assert np.abs(spec.phases[1, 2] - one.phases).max() < 1e-15
+    assert np.abs(eigenvalues(spec)[1, 2] - eigenvalues(one)).max() < 1e-15
 
 
 def test_near_scalar_blocks_are_accurate():
@@ -167,34 +179,8 @@ def test_near_scalar_blocks_are_accurate():
             for dz in (0.0, 1e-12, 1e-9):
                 coin = CoinParams(base - offset, 2 * math.pi * 3 / n + dz, 0.4, 0.3)
                 spec = spectrum(n, coin.theta, coin.zeta, coin.xi, coin.eta)
+                lam = eigenvalues(spec)
                 for k in range(n):
                     b = block(k, coin, n)
                     for i, proj in enumerate(projectors(spec.axes[k])):
-                        lam = np.exp(1j * spec.phases[k, i])
-                        assert np.abs(b @ proj - lam * proj).max() < 1e-8
-
-
-def test_group_eigenphases_chains_and_wraps():
-    tol = 1e-9
-    phases = np.array([0.1, 0.1 + 0.6 * tol, 0.1 + 1.2 * tol, 0.5, -math.pi, math.pi - 0.5 * tol])
-    labels = group_eigenphases(phases)
-    assert labels[0] == labels[1] == labels[2]  # chained, though 0 and 2 are 1.2 tol apart
-    assert labels[4] == labels[5]  # joined across the wrap at +/- pi
-    assert len({labels[0], labels[3], labels[4]}) == 3
-
-
-def test_grouping_matches_degeneracy_table():
-    # away from theta = pi/2 the groups are the k + k' = N zeta / pi pairs
-    cases = [(hadamard_params(), 6), (hadamard_params(), 8)]
-    cases.append((CoinParams(0.9, 0.2 * math.pi, -0.4, 0.8), 10))
-    for coin, n in cases:
-        labels = group_eigenphases(spectrum(n, coin.theta, coin.zeta, coin.xi, coin.eta).phases)
-        for k, kp in degeneracy_table(coin, n).pairs.items():
-            assert (labels[k] == labels[kp]).all()
-        assert np.bincount(labels.reshape(-1)).max() == 2
-
-
-def test_half_pi_groups_every_block():
-    labels = group_eigenphases(spectrum(7, math.pi / 2, 0.3, 0.7).phases)
-    assert (labels[:, 0] == labels[0, 0]).all() and (labels[:, 1] == labels[0, 1]).all()
-    assert labels[0, 0] != labels[0, 1]
+                        assert np.abs(b @ proj - lam[k, i] * proj).max() < 1e-8
