@@ -12,8 +12,10 @@ oracle deterministic for tests.
 Two routes compute a time average over t = 1..t_max, and ``_window_sums``
 picks the cheaper for its input.  ``_walk`` steps X walks at once with one
 matmul and one index gather; it is ``evolve``'s kernel and the step-loop route.
-Binary doubling sums U^t rho U^-t over the window exactly, in O(N^2) work per
-bit of t_max on the momentum blocks of U^m.  It takes nothing from ``spectral``,
+Binary doubling sums U^t rho U^-t over the window exactly on the momentum
+blocks of U^m.  The sum is Hermitian and the averages read only its wrapped
+diagonals, so it keeps the diagonals d = 0..N/2, in O(N^2 / 2) work per bit of
+t_max and O(N^2 / 2) memory per walk.  It takes nothing from ``spectral``,
 ``asymptotics`` or ``state.momentum_spinors``: no eigenvalue and no degeneracy
 tolerance, only translation invariance, so it stays independent of the closed
 forms it checks.  ``time_avg_distribution``, ``time_avg_reduced_density`` and
@@ -40,10 +42,15 @@ __all__ = [
 ]
 
 
-# The doubling route's whole footprint may not exceed this: 224 N^2 + 800 N
-# + 8 KiB bytes per walk and 16 N^2 + 256 KiB besides (``_doubling_chunk``),
-# so N <= 526 for every t_max.  Larger N steps in O(N) memory whatever t_max.
+# The doubling route's whole footprint may not exceed this: 256 (N/2 + 1) N
+# + 896 N + 8 KiB bytes per walk and 8 (N/2 + 1) N + 256 KiB besides
+# (``_doubling_chunk``), so N <= 707 for every t_max.  Larger N steps in O(N)
+# memory whatever t_max.
 DOUBLING_MAX_BYTES = 2**26
+# Each bit passes over a chunk's buffers seven times, so a chunk is kept about
+# the size of a core's L2 cache: at X = 100, N = 64, T = 2000 one 54 MB chunk
+# took 208-226 ms where chunks of two or three walks took 155 ms.
+DOUBLING_CHUNK_BYTES = 2**21
 
 
 def _seed_len(n: int, steps: int) -> int:
@@ -54,27 +61,32 @@ def _seed_len(n: int, steps: int) -> int:
 
 
 def _doubling_chunk(n: int) -> int:
-    """How many walks on N nodes the doubling route runs at once within
-    ``DOUBLING_MAX_BYTES``; below 1 when not even one fits.  A walk holds S,
-    two buffers and its wrapped diagonals (3.5 (2N)^2 complex) and O(N)
-    spinors and temporaries; the fold index and numpy's buffers are shared."""
-    return (DOUBLING_MAX_BYTES - 2**18 - 16 * n * n) // (16 * (14 * n * n + 50 * n + 512))
+    """How many walks on N nodes the doubling route runs at once: as many as
+    fit ``DOUBLING_CHUNK_BYTES`` (at least one) and ``DOUBLING_MAX_BYTES``;
+    below 1 when not even one fits the latter.  A walk holds its wrapped
+    diagonals and three buffers (16 (N/2 + 1) N complex) and O(N) spinors and
+    temporaries; the lag index and numpy's buffers are shared."""
+    h = n // 2 + 1
+    walk = 16 * (16 * h * n + 56 * n + 512)
+    fits = (DOUBLING_MAX_BYTES - 2**18 - 8 * h * n) // walk
+    return min(fits, max(1, DOUBLING_CHUNK_BYTES // walk))
 
 
 def _doubling_is_cheaper(x: int, n: int, steps: int) -> bool:
     """Whether binary doubling beats the step loop for X walks on N nodes.
 
-    Costs in microseconds, fitted to best-of-3 timings on 2 cores: doubling
-    once, per bit of t_max (a constant and a + b N^2 per walk) and per seed
-    step (X in {1, 2, 5, 20, 100}, N = 3..400, t_max = 1..2e5); the step loop
-    per step (X up to 400, N = 4..400).  Above ``DOUBLING_MAX_BYTES`` it
-    steps.  Doubling vs step loop: 313 vs 199 ms at X = 100, N = 64,
-    T = 2000; 48 vs 20 ms at X = 1, N = 256, T = 2000, 62 vs 207 ms at 2e4.
+    Costs in microseconds, fitted to best-of-3 timings: doubling once, per
+    bit of t_max (a constant and a + b (N/2 + 1) N per walk, refitted on one
+    pinned core for X in {1, 2, 5, 20, 100}, N = 3..600, t_max = 1..2e5) and
+    per seed step; the step loop per step (X up to 400, N = 4..400).  Above
+    ``DOUBLING_MAX_BYTES`` it steps.  Doubling vs step loop: 232-257 vs
+    309-360 ms at X = 100, N = 64, T = 2000; 24-31 vs 21-33 ms at X = 1,
+    N = 256, T = 2000, 29-34 vs 210-246 ms at 2e4.
     """
     if _doubling_chunk(n) < 1:
         return False
-    m0, bits = _seed_len(n, steps), steps.bit_length() - 1
-    doubling = 113 + bits * (27 + x * (1.5 + 0.051 * n * n)) + x * n * (0.055 * m0 + 0.04 * n)
+    m0, bits, h = _seed_len(n, steps), steps.bit_length() - 1, n // 2 + 1
+    doubling = 113 + bits * (27 + x * (2.0 + 0.044 * h * n)) + x * n * (0.055 * m0 + 0.04 * n)
     return doubling <= steps * (7.2 + x * (0.23 + 0.0134 * n))
 
 
@@ -176,21 +188,23 @@ def _doubled_sums(
     """The window averages by binary doubling on momentum blocks.
 
     U^m is block-diagonal in momentum, so S(m) = sum_{t=1..m} U^t rho U^-t
-    splits into 2x2 blocks S[k, l].  From the top bit of t_max down, S(2m)
-    adds P_k S[k, l] P_l^dag, P = U^m, and a 1 bit adds u u^dag, u = U^(2m+1)
-    psi.  While m <= m0 <= 2N, W = (P | u) is one FFT of e_{0,0}, e_{1,0} and
-    psi stepped exactly by ``_walk``; past m0, W <- P W, then B W on a 1 bit,
-    B = U^1.  sum_s |a_s(v)|^2 folds the wrapped diagonals of S[s, s], and
-    tr S[0, 1] is the coherence.
+    splits into 2x2 blocks S[k, l].  Only the sums over k of its wrapped
+    diagonals are read, and as S is Hermitian those at d > N/2 are the
+    conjugates of those at N - d, so D[s, r, d, k] = S[s, k; r, k - d] is
+    kept for d = 0..N/2 alone.  From the top bit of t_max down,
+    S(2m) adds P_k D[d, k] P_(k-d)^dag, P = U^m, and a 1 bit adds
+    u_k u_(k-d)^dag, u = U^(2m+1) psi.  While m <= m0 <= 2N, W = (P | u) is
+    one FFT of e_{0,0}, e_{1,0} and psi stepped exactly by ``_walk``; past m0,
+    W <- P W, then B W on a 1 bit, B = U^1.  sum_s |a_s(v)|^2 is the inverse
+    real FFT of sum_k D[s, s, d, k], and sum_k D[0, 1, 0, k] the coherence.
     """
     coins = _unitary(coins)
     x, _, n = grids.shape
-    m0, k = _seed_len(n, steps), np.arange(n)
-    # S[s, k, s, k - d] at (s, k, d) of the flat (2N)^2 matrix: the wrapped diagonals of S[s, s]
-    fold = k[:, None] * 2 * n + (k[:, None] - k) % n + np.array([0, (2 * n + 1) * n])[:, None, None]
+    m0, h = _seed_len(n, steps), n // 2 + 1
+    lag = (np.arange(n) - np.arange(h)[:, None]) % n  # k - d at (d, k)
     chunk = min(x, max(1, _doubling_chunk(n)))
     probs, coherence = np.empty((x, 2, n)), np.empty(x, dtype=np.complex128)
-    buffers = np.empty((3, chunk, 2 * n, 2 * n), dtype=np.complex128)  # S and two buffers
+    buffers = np.empty((4, chunk * 4 * h * n), dtype=np.complex128)  # D, two buffers, lagged P
     for lo in range(0, x, chunk):
         c, part = min(chunk, x - lo), slice(lo, lo + chunk)
         walkers = np.zeros((c, 3, 2, n), dtype=np.complex128)
@@ -198,19 +212,24 @@ def _doubled_sums(
         walkers[:, 2] = grids[part]
         walk = _walk(np.repeat(coins[part], 3, axis=0), walkers.reshape(3 * c, 2, n), m0)
         w = step = np.fft.fft(next(walk).reshape(c, 3, 2, n)).swapaxes(1, 2)  # (B | u)[x, s, j, k]
-        u = w[:, :, 2].reshape(c, 2 * n)
-        sums, turned, scratch = buffers[:, :c]
-        np.multiply(u[:, :, None], u[:, None].conj(), out=sums)  # S(1) over [x, (s, k), (r, l)]
-        blocks, half, half2 = (a.reshape(c, 2, n, 2, n) for a in (sums, turned, scratch))
+        # take writes in place only into C-contiguous buffers, so each is a flat prefix
+        diag, turned, scratch, lagged = (b[: c * 4 * h * n].reshape(c, 2, 2, h, n) for b in buffers)
+        pairs = diag.reshape(c, 4, h, n)[:, ::3]  # D[s, s] for s = 0, 1
+        lagged_u = buffers[3, : c * 2 * h * n].reshape(c, 2, h, n)
+        u = w[:, :, 2]
+        np.take(u.conj(), lag, axis=-1, out=lagged_u, mode="clip")
+        np.multiply(u[:, :, None, None], lagged_u[:, None], out=diag)  # D(1)[x, s, r, d, k]
         for bit in range(steps.bit_length() - 2, -1, -1):
-            power, back, m = w[:, :, :2], w[:, :, :2].conj(), steps >> bit
-            # turned[s, a] = sum_b P_k[s, b] S[b, a]; S[s, r] += sum_a turned[s, a] conj(P_l[r, a])
-            np.multiply(power[:, :, 0, :, None, None], blocks[:, None, 0], out=half)
-            np.multiply(power[:, :, 1, :, None, None], blocks[:, None, 1], out=half2)
+            power, m = w[:, :, :2], steps >> bit
+            # turned[s, a] = sum_b P_k[s, b] D[b, a]
+            # D[s, r] += sum_a turned[s, a] conj(P_(k-d)[r, a])
+            np.take(power.conj(), lag, axis=-1, out=lagged, mode="clip")
+            np.multiply(power[:, :, 0, None, None], diag[:, None, 0], out=turned)
+            np.multiply(power[:, :, 1, None, None], diag[:, None, 1], out=scratch)
             turned += scratch
             for a in range(2):
-                np.multiply(half[:, :, :, None, a], back[:, None, None, :, a], out=half2)
-                sums += scratch
+                np.multiply(turned[:, :, None, a], lagged[:, None, :, a], out=scratch)
+                diag += scratch
             if m <= m0:  # W from exact steps
                 for _ in range(m - m // 2):
                     amps = next(walk)
@@ -219,13 +238,13 @@ def _doubled_sums(
                 for p in (power, step[:, :, :2])[: 1 + m % 2]:  # W <- P W, then B W on a 1 bit
                     w = p[:, :, 0, None] * w[:, None, 0] + p[:, :, 1, None] * w[:, None, 1]
             if m & 1:
-                u = w[:, :, 2].reshape(c, 2 * n)
-                np.multiply(u[:, :, None], u[:, None].conj(), out=scratch)
-                sums += scratch
-            trace = sums.reshape(c, -1)[:, :: 2 * n + 1].real.sum(axis=1)
-            _check_drift(trace / n, m, coins[part], steps)
-        probs[part] = np.fft.ifft(np.take(sums.reshape(c, -1), fold, axis=1).sum(axis=2)).real / n
-        coherence[part] = np.trace(sums[:, :n, n:], axis1=1, axis2=2) / n
+                u = w[:, :, 2]
+                np.take(u.conj(), lag, axis=-1, out=lagged_u, mode="clip")
+                np.multiply(u[:, :, None, None], lagged_u[:, None], out=scratch)
+                diag += scratch
+            _check_drift(pairs[:, :, 0].real.sum(axis=(1, 2)) / n, m, coins[part], steps)
+        probs[part] = np.fft.irfft(pairs.sum(axis=-1), n=n) / n
+        coherence[part] = diag[:, 0, 1, 0].sum(axis=-1) / n
     return _averages(probs, coherence, steps)
 
 

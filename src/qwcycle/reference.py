@@ -251,14 +251,15 @@ def characteristic_sums(
     """(pi, rho_c) as the paper sums them: rho_c = sum_k Theta(k, k) and
     pi(v) = 1/N + (1/N) Re sum e^{2 pi i v (k - k')/N} tr Theta(k, k') over
     ``cross_pairs``.  ``blocks[k]`` is block k and ``psis[:, k]`` its sector
-    spinor, as ``state.momentum_spinors`` returns them."""
+    spinor, as ``state.momentum_spinors`` returns them.  The traces are added
+    up by shift (k - k') mod N, and one inverse FFT takes the sum over v."""
     n = len(blocks)
     rho = sum(theta_matrix(m_matrix(kb, kb), psis[:, kb.k], psis[:, kb.k]) for kb in blocks)
-    acc = np.zeros(n, dtype=complex)
+    by_shift = np.zeros(n, dtype=complex)
     for k, kp in cross_pairs:
-        tr = np.trace(theta_matrix(m_matrix(blocks[k], blocks[kp]), psis[:, k], psis[:, kp]))
-        acc += np.exp(2j * math.pi * np.arange(n) * (k - kp) / n) * tr
-    return 1.0 / n + acc.real / n, rho
+        theta = theta_matrix(m_matrix(blocks[k], blocks[kp]), psis[:, k], psis[:, kp])
+        by_shift[(k - kp) % n] += np.trace(theta)
+    return 1.0 / n + np.fft.ifft(by_shift).real, rho
 
 
 def hadamard_local_ld(n_nodes: int, t: int = 0) -> NDArray[np.float64]:

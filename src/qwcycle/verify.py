@@ -17,12 +17,13 @@ All (coin, state) instances of one N are averaged together by
 ``evolution._window_sums``, the averaging behind ``time_avg_distribution`` and
 ``time_avg_reduced_density``.  At the default sweep's sizes it takes the
 binary doubling route, which sums the t_max-step window exactly on the 2x2
-momentum blocks of U^m in O(N^2) elementwise work per bit of t_max.  It uses
-no eigenvalue and no degeneracy tolerance, only translation invariance, and
-nothing from ``spectral``, ``asymptotics`` or ``state.momentum_spinors``;
-unit tests pin it to the step loop ``evolve`` runs and to the literal
-``np.roll`` oracle kept in ``qwcycle.reference``, the 2N x 2N average
-``reference.time_avg_density``.
+momentum blocks of U^m.  The window sum S is Hermitian and the averages read
+only its wrapped diagonals, so it keeps the diagonals d = 0..N/2 alone, in
+O(N^2 / 2) elementwise work per bit of t_max.  It uses no eigenvalue and no
+degeneracy tolerance, only translation invariance, and nothing from
+``spectral``, ``asymptotics`` or ``state.momentum_spinors``; unit tests pin it
+to the step loop ``evolve`` runs and to the literal ``np.roll`` oracle kept in
+``qwcycle.reference``, the 2N x 2N average ``reference.time_avg_density``.
 """
 
 from __future__ import annotations

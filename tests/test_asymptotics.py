@@ -272,6 +272,21 @@ def dense_reference(state, coin):
     return probs, rho
 
 
+@pytest.mark.parametrize("n, theta", [(33, 0.7), (64, 1.2), (64, math.pi / 2 - 1e-6)])
+def test_characteristic_sums_match_the_phase_sum(rng, n, theta):
+    # the literal sum over cross pairs of e^{2 pi i v (k - k')/N} tr Theta(k, k')
+    coin = CoinParams(theta, round(0.37 * n / math.pi) * math.pi / n, 0.4, -1.1)
+    blocks, psis = solve_all_blocks(coin, n), momentum_spinors(random_state(rng, n))
+    pairs = degeneracy_table(coin, n).cross_pairs()
+    assert len(pairs) >= n - 2
+    acc = np.zeros(n, dtype=complex)
+    for k, kp in pairs:
+        tr = np.trace(theta_matrix(m_matrix(blocks[k], blocks[kp]), psis[:, k], psis[:, kp]))
+        acc += np.exp(2j * math.pi * np.arange(n) * (k - kp) / n) * tr
+    ld, _ = characteristic_sums(blocks, psis, pairs)
+    assert np.abs(ld - (1.0 / n + acc.real / n)).max() <= 1e-15
+
+
 def test_core_matches_per_block_reference(rng):
     for trial in range(40):
         n = int(rng.integers(2, 17))

@@ -108,7 +108,8 @@ def test_batched_window_sums_match_density_reference(monkeypatch, rng):
     walk = evolution._walk
     monkeypatch.setattr(evolution, "_walk", counted)
     # room for the fixed buffers and two walks, not three
-    cap = 2**18 + 16 * n * n + 2 * 16 * (14 * n * n + 50 * n + 512)
+    h = n // 2 + 1
+    cap = 2**18 + 8 * h * n + 2 * 16 * (16 * h * n + 56 * n + 512)
     monkeypatch.setattr(evolution, "DOUBLING_MAX_BYTES", cap)
     chunked = _doubled_sums(coins, grids, t)
     assert walkers == [6, 6, 3]  # each walk steps beside its two unit vectors
@@ -126,6 +127,26 @@ def test_doubling_matches_step_loop_over_long_windows(rng):
             step_dist, step_rho = _stepped_sums(stack, grids, 30_000)
             assert np.abs(dist - step_dist).max() <= 1e-12, (n, theta)
             assert np.abs(rho - step_rho).max() <= 1e-12, (n, theta)
+
+
+def test_doubling_runs_past_the_dense_cap(rng):
+    """The wrapped diagonals d = 0..N/2 of the window sum fit N = 600 under
+    the 64 MiB cap, and there too the doubling is the step loop's sum."""
+    n = 600
+    assert evolution._doubling_chunk(n) >= 1
+    grids = _random_grid(rng, n)[None]
+    coins = build_coin(CoinParams(0.9, -0.4, 1.3, 0.2))[None]
+    for t in (2 * n + 1, 3000):
+        tracemalloc.start()
+        try:
+            dist, rho = _doubled_sums(coins, grids, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= evolution.DOUBLING_MAX_BYTES, (t, peak)
+        step_dist, step_rho = _stepped_sums(coins, grids, t)
+        assert np.abs(dist - step_dist).max() <= 1e-13, t
+        assert np.abs(rho - step_rho).max() <= 1e-13, t
 
 
 def test_doubling_footprint_stays_within_the_cap(monkeypatch, rng):
@@ -146,25 +167,25 @@ def test_doubling_footprint_stays_within_the_cap(monkeypatch, rng):
 
 
 def test_window_sums_pick_the_cheaper_route(monkeypatch):
-    # doubling costs ~a + b N^2 per walk and bit of t_max, the step loop a
-    # time per step that grows with X N; the spies record the route without
-    # running it.  Times are doubling vs step loop.
+    # doubling costs ~a + b (N/2 + 1) N per walk and bit of t_max, the step
+    # loop a time per step that grows with X N; the spies record the route
+    # without running it.  Times are doubling vs step loop.
     taken = []
     for name in ("_doubled_sums", "_stepped_sums"):
         monkeypatch.setattr(f"qwcycle.evolution.{name}", lambda *args, name=name: taken.append(name))
     coin = build_coin(CoinParams(0.9, -0.4, 1.3, 0.2))
     cases = {
         (1, 8, 200_000): "_doubled_sums",
-        (1, 400, 50): "_stepped_sums",  # 51 vs 0.7 ms
-        (2, 64, 40_000): "_doubled_sums",  # the bench's oracle_sweep stack, 6 vs 355 ms
-        (1, 24, 2000): "_doubled_sums",  # the bench's cli simulate, 0.8 vs 22 ms
-        (100, 64, 2000): "_stepped_sums",  # verify's default 20 x 5 draws, 296-313 vs 198 ms
-        (100, 64, 20_000): "_doubled_sums",  # 389 vs 2037 ms
-        (20, 128, 20_000): "_doubled_sums",  # 288 vs 802 ms
-        (1, 256, 2000): "_stepped_sums",  # 47-48 vs 20 ms
-        (1, 256, 20_000): "_doubled_sums",  # 62 vs 207 ms
-        (1, 526, 10**9): "_doubled_sums",
-        (1, 527, 10**9): "_stepped_sums",  # over the 64 MiB cap, which holds doubling to N <= 526
+        (1, 400, 50): "_stepped_sums",  # 29-31 vs 1.0-1.2 ms
+        (2, 64, 40_000): "_doubled_sums",  # the bench's oracle_sweep stack, 5.6-6.0 vs 518-641 ms
+        (1, 24, 2000): "_doubled_sums",  # the bench's cli simulate, 1.2-1.3 vs 24-26 ms
+        (100, 64, 2000): "_doubled_sums",  # verify's default 20 x 5 draws, 232-257 vs 309-360 ms
+        (100, 64, 20_000): "_doubled_sums",  # 204-250 vs 2249-2946 ms
+        (20, 128, 20_000): "_doubled_sums",  # 125-175 vs 853-1113 ms
+        (1, 256, 2000): "_stepped_sums",  # 24-31 vs 21-33 ms
+        (1, 256, 20_000): "_doubled_sums",  # 29-34 vs 210-246 ms
+        (1, 707, 10**9): "_doubled_sums",
+        (1, 708, 10**9): "_stepped_sums",  # over the 64 MiB cap, which holds doubling to N <= 707
     }
     for x, n, t in cases:
         grids = np.broadcast_to(make_state(Local(0), n).as_grid(), (x, 2, n))
