@@ -30,8 +30,8 @@ def parse_angle(token: str) -> float:
     """Parse an angle token: plain float or a rational multiple of pi.
 
     Accepted pi forms: ``pi``, ``-pi``, ``pi/2``, ``3pi/4``, ``0.5pi``.
-    Rational-of-pi input keeps x/pi exact to ~1e-16, which is what makes
-    the degeneracy integrality test decidable downstream.  Non-finite values
+    Rational-of-pi input keeps x/pi exact to ~1e-16, far inside the
+    degeneracy rule downstream, |zeta - r pi / N| <= DEGENERACY_TOL / 2.  Non-finite values
     (``nan``, ``inf``, overflowing literals) are rejected.
     """
     m = _PI_TOKEN.match(token)

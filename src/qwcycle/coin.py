@@ -7,8 +7,10 @@ four angles (theta, zeta, xi, eta):
                          [-e^{-i xi}  sin(theta),  e^{-i zeta} cos(theta)]]
 
 which covers all of U(2).  ``eta`` is a global phase and never affects an
-observable; it is kept because downstream spectral code must reproduce the
-full eigenvalue including it.
+observable: the closed forms read only differences of eigenphases, where it
+cancels.  It is kept so that ``build_coin`` is the whole coin, and the
+literal references (``reference.solve_block``, ``KBlock``) carry the full
+eigenvalue including it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The paper's literal constructions, kept as references for the tests.
 
 The closed forms compute all of this from one array spectrum
-(``spectral.spectrum``) and one sector projection
-(``asymptotics._sector_parts``), and never import this module.  Per block:
+(``spectral.spectrum``) and one dephasing per block
+(``asymptotics._turned``), and never import this module.  Per block:
 ``block`` is B_k, ``solve_block`` its eigendecomposition and
 ``degeneracy_table`` the k + k' = N zeta / pi (mod N) pairing.
 
@@ -144,8 +144,9 @@ def solve_all_blocks(coin: CoinParams, n_nodes: int) -> tuple[KBlock, ...]:
 class DegeneracyTable:
     """Cross-block eigenvalue coincidences for one (coin, N).
 
-    ``pairs`` maps every momentum k to its degenerate partner k' when the
-    integrality condition holds, and is empty otherwise.  ``self_paired``
+    ``pairs`` maps every momentum k to its degenerate partner k' when
+    |zeta - r pi / N| <= DEGENERACY_TOL / 2 with r = round(N zeta / pi), and is
+    empty otherwise.  ``self_paired``
     collects the k with partner k; those contribute no cross term (their
     weight is already in the diagonal k = k' sum).
     """

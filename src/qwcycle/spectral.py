@@ -26,8 +26,9 @@ So zones I and II project with (1 +/- m_k.sigma)/2: no eigenvector column, no
 choice between columns, no gauge.  Near a scalar block m_k is good to
 eps/sin(alpha), the conditioning of the eigenproblem itself; a scalar block
 has no axis and holds zeros.  ``spectrum`` builds all of it as arrays over k
-(and any coin axes).  It stores alpha and eta, never the eigenphases: the
-projectors need only the axes and the scalar blocks.
+(and any coin axes).  It stores alpha, never the eigenphases, and never the
+global phase eta/2: every coincidence is a difference of eigenphases, where
+eta cancels, and the projectors need only the axes and the scalar blocks.
 """
 
 from __future__ import annotations
@@ -45,19 +46,18 @@ DEGENERACY_TOL = 1e-9
 
 class Spectrum(NamedTuple):
     """All blocks of coins broadcast to shape S: the rotation angles alpha
-    (S + (N,)), the global phases eta (S + (1,)), real unit rotation axes m_k
-    (S + (N, 3)) and the scalar blocks (S + (N,)), whose axes are zero.  Block
-    k has the eigenphases eta/2 +/- alpha_k."""
+    (S + (N,)), real unit rotation axes m_k (S + (N, 3)) and the scalar blocks
+    (S + (N,)), whose axes are zero.  Block k of a coin with global phase eta
+    has the eigenphases eta/2 +/- alpha_k."""
 
     alpha: NDArray[np.float64]
-    eta: NDArray[np.float64]
     axes: NDArray[np.float64]
     scalar: NDArray[np.bool_]
 
 
-def spectrum(n_nodes: int, theta, zeta, xi, eta=0.0) -> Spectrum:
+def spectrum(n_nodes: int, theta, zeta, xi) -> Spectrum:
     """All N blocks in closed form; the angles may be arrays that broadcast."""
-    theta, zeta, xi, eta = (x[..., None] for x in np.broadcast_arrays(theta, zeta, xi, eta))
+    theta, zeta, xi = (x[..., None] for x in np.broadcast_arrays(theta, zeta, xi))
     w = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     comps = [sin_t * np.sin(xi - w), sin_t * np.cos(xi - w), cos_t * np.sin(zeta - w)]
@@ -66,4 +66,4 @@ def spectrum(n_nodes: int, theta, zeta, xi, eta=0.0) -> Spectrum:
     alpha = np.arctan2(sin_a, cos_t * np.cos(w - zeta))
     scalar = 2.0 * np.minimum(alpha, np.pi - alpha) <= DEGENERACY_TOL
     axes = np.divide(tilt, sin_a[..., None], out=np.zeros_like(tilt), where=~scalar[..., None])
-    return Spectrum(alpha, eta, axes, scalar)
+    return Spectrum(alpha, axes, scalar)

@@ -36,7 +36,7 @@ so its memory stays bounded whatever N.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -151,7 +151,7 @@ def bloch_temperature_scan(
     phase = np.concatenate([[1.0], np.tile(np.exp(1j * phis), gammas.size)])  # e^{i phi}
     chi = np.stack([np.cos(g / 2), phase * np.sin(g / 2)])
     basis = np.broadcast_to(np.eye(2)[:, None] / math.sqrt(n), (2, n, 2))
-    temps = _scan_temperatures(spectrum(n, *astuple(coin)), basis, chi)
+    temps = _scan_temperatures(spectrum(n, coin.theta, coin.zeta, coin.xi), basis, chi)
     values = temperature_ratio(temps[1:], temps[0]).reshape(gammas.size, phis.size)
     return ScanGrid("gamma", "phi", gammas, phis, values, reference_temperature=float(temps[0]))
 

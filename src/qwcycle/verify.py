@@ -123,8 +123,8 @@ class VerifyReport:
 
 
 def sample_coins(rng: np.random.Generator, n_nodes: int, count: int) -> list[CoinParams]:
-    """Random coins for one cycle size; odd draws pin zeta to the pi/N grid
-    (integer multiples, so the degeneracy condition holds exactly)."""
+    """Random coins for one cycle size; the even draws (i = 0, 2, ...) pin zeta
+    to the pi/N grid (integer multiples, so the degeneracy condition holds exactly)."""
     coins = []
     for i in range(count):
         theta = rng.uniform(*THETA_RANGE)

@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwcycle.asymptotics import (
-    _coin_gram,
-    _sector_parts,
-    asymptotic_reduced_density,
-    limiting_distribution,
-)
+from qwcycle.asymptotics import _coin_gram, asymptotic_reduced_density, limiting_distribution
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
-from qwcycle.evolution import time_avg_distribution, time_avg_reduced_density
+from qwcycle.evolution import evolve, time_avg_distribution, time_avg_reduced_density
 from qwcycle.reference import (
     characteristic_sums,
     degeneracy_table,
@@ -128,14 +123,14 @@ def test_limiting_distribution_uniform_without_degeneracy():
 
 def test_generic_coin_returns_uniform_before_the_parts(monkeypatch, rng):
     # zeta half-way between points of the pi / N grid pairs no two blocks, so
-    # the answer is 1/N before any sector part is built; a grid coin builds them
+    # the answer is 1/N before any spectrum is built; a grid coin builds one
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return _sector_parts(*args)
+        return spectrum(*args)
 
-    monkeypatch.setattr("qwcycle.asymptotics._sector_parts", counted)
+    monkeypatch.setattr("qwcycle.asymptotics.spectrum", counted)
     n = 64
     state = random_state(rng, n)
     ld = limiting_distribution(state, CoinParams(0.9, math.pi / (2 * n), 0.4, -1.1))
@@ -159,22 +154,28 @@ def test_generic_coin_returns_uniform_before_the_parts(monkeypatch, rng):
     ],
 )
 def test_coin_gram_matches_literal_zone_sum(rng, n, theta, zeta):
-    # the one-product Gram against sum_{k,i} p_k^i p_k^i^dag over both zones
-    # of _sector_parts (a scalar block's psi_k whole in zone 0); zeta = 3.0
-    # stands for 2 pi / N, which puts zeta - w on 0 at k = 1
+    # the one-product Gram against sum_{k,i} p_k^i p_k^i^dag over both zones,
+    # p_k^+/- = (1 +/- m_k.sigma) psi_k / 2 and a scalar block's psi_k whole in
+    # zone 0; zeta = 3.0 stands for 2 pi / N, which puts zeta - w on 0 at k = 1
     if zeta >= 3.0:
         zeta = 2 * math.pi / n + (zeta - 3.0)
     spinors = momentum_spinors(random_state(rng, n)).T
     zetas = np.concatenate([[zeta, zeta + math.pi, -math.pi], np.linspace(-3.0, 3.0, 5)])
-    one = spectrum(n, theta, zeta, -1.1, 0.4)
+    one = spectrum(n, theta, zeta, -1.1)
     bases = [
         (one, spinors[None]),  # one state (rdcm)
         (one, np.broadcast_to(np.eye(2)[:, None] / math.sqrt(n), (2, n, 2))),  # Bloch scan
         # phase scan: a leading zeta axis
         (spectrum(n, theta, zetas, 0.0), spinors[None, None] * np.eye(2)[:, None, None]),
     ]
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    whole = np.stack([np.eye(2), np.zeros((2, 2))])
     for spec, basis in bases:
-        parts = _sector_parts(spec, basis)
+        turn = np.einsum("...ka,abc->...kbc", spec.axes, pauli)[..., None, :, :]
+        # (..., k, zone, 2, 2)
+        proj = 0.5 * (np.eye(2) + np.array([1.0, -1.0])[:, None, None] * turn)
+        proj = np.where(spec.scalar[..., None, None, None], whole, proj)
+        parts = (proj @ basis[..., None, :, None])[..., 0]  # (a, ..., k, zone, comp)
         literal = np.einsum("a...kic,b...kid->...abcd", parts, parts.conj())
         gram = _coin_gram(spec, basis)
         assert gram.shape == literal.shape
@@ -310,13 +311,22 @@ def test_half_pi_local_walker_alternates(n):
     assert np.abs(ld[1:-1]).max() < 1e-12
 
 
-@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("n", [2, 3, 6, 7, 64, 2048])
 def test_half_pi_matches_dense(rng, n):
     coin = CoinParams(math.pi / 2, 0.3, 0.7)
     state = random_state(rng, n)
-    ld_ref, rho_ref = dense_reference(state, coin)
-    assert np.abs(limiting_distribution(state, coin) - ld_ref).max() < 1e-10
-    assert np.abs(asymptotic_reduced_density(state, coin) - rho_ref).max() < 1e-10
+    ld, rho = limiting_distribution(state, coin), asymptotic_reduced_density(state, coin)
+    if n <= 7:
+        ld_ref, rho_ref = dense_reference(state, coin)
+        assert np.abs(ld - ld_ref).max() < 1e-10
+        assert np.abs(rho - rho_ref).max() < 1e-10
+    # B_k^2 = -e^{i eta} for every k: the walk has period 2, so both limits
+    # are the means of their values at t = 0 and t = 1
+    grids = [s.as_grid() for s in (state, evolve(state, build_coin(coin), 1))]
+    ld_ref = sum((np.abs(g) ** 2).sum(axis=0) for g in grids) / 2
+    rho_ref = sum(g @ g.conj().T for g in grids) / 2
+    assert np.abs(ld - ld_ref).max() <= 1e-14
+    assert np.abs(rho - rho_ref).max() <= 1e-14
 
 
 @given(
@@ -380,8 +390,8 @@ def test_large_cycle_limiting_distribution(rng):
     # reference pair sum: partners share their spectrum zone by zone, so
     # tr Theta(k, k') = sum_i <p_k'^i | p_k^i> with p_k^+/- = (1 +/- m_k.sigma) psi_k / 2
     pairs = np.array(degeneracy_table(coin, n).cross_pairs())
-    spec = spectrum(n, coin.theta, coin.zeta, coin.xi, coin.eta)
-    lam = np.exp(1j * (0.5 * spec.eta[..., None] + spec.alpha[..., None] * [1.0, -1.0]))
+    spec = spectrum(n, coin.theta, coin.zeta, coin.xi)
+    lam = np.exp(1j * (0.5 * coin.eta + spec.alpha[..., None] * [1.0, -1.0]))
     assert np.abs(lam[pairs[:, 0]] - lam[pairs[:, 1]]).max() < 1e-12
     assert not spec.scalar.any()
     pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])

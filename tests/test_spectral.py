@@ -117,9 +117,9 @@ def test_degenerate_partners_share_spectrum():
             assert gap < 1e-12
 
 
-def eigenvalues(spec):
-    """e^{i (eta/2 +/- alpha)} of every block, S + (N, zone)."""
-    return np.exp(1j * (0.5 * spec.eta[..., None] + spec.alpha[..., None] * [1.0, -1.0]))
+def eigenvalues(spec, eta):
+    """e^{i (eta/2 +/- alpha)} of every block, S + (N, zone), for a coin phase eta."""
+    return np.exp(1j * (0.5 * eta + spec.alpha[..., None] * [1.0, -1.0]))
 
 
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -142,8 +142,8 @@ def projectors(axis):
 # as eps / sin(alpha) there, which is what the projector gate allows
 @example(CoinParams(3.633074247718254e-06, 3.633074247718254e-06, 0.0, 0.0), 2)
 def test_spectrum_matches_solve_block(coin, n):
-    spec = spectrum(n, coin.theta, coin.zeta, coin.xi, coin.eta)
-    lam = eigenvalues(spec)
+    spec = spectrum(n, coin.theta, coin.zeta, coin.xi)
+    lam = eigenvalues(spec, coin.eta)
     for kb in solve_all_blocks(coin, n):
         assert np.abs(lam[kb.k] - kb.eigenvalues).max() < 1e-14
         scalar = 2 * min(kb.alpha, math.pi - kb.alpha) <= DEGENERACY_TOL
@@ -162,12 +162,12 @@ def test_spectrum_matches_solve_block(coin, n):
 
 def test_spectrum_broadcasts_coin_axes():
     xis = np.linspace(-3.0, 3.0, 4)
-    spec = spectrum(6, 0.7, np.array([[0.1], [0.2], [0.3]]), xis, 0.5)
-    assert eigenvalues(spec).shape == (3, 4, 6, 2)
+    spec = spectrum(6, 0.7, np.array([[0.1], [0.2], [0.3]]), xis)
+    assert eigenvalues(spec, 0.5).shape == (3, 4, 6, 2)
     assert spec.axes.shape == (3, 4, 6, 3)
-    one = spectrum(6, 0.7, 0.2, xis[2], 0.5)
+    one = spectrum(6, 0.7, 0.2, xis[2])
     assert np.abs(spec.axes[1, 2] - one.axes).max() < 1e-15
-    assert np.abs(eigenvalues(spec)[1, 2] - eigenvalues(one)).max() < 1e-15
+    assert np.abs(eigenvalues(spec, 0.5)[1, 2] - eigenvalues(one, 0.5)).max() < 1e-15
 
 
 def test_near_scalar_blocks_are_accurate():
@@ -178,8 +178,8 @@ def test_near_scalar_blocks_are_accurate():
         for offset in (1e-12, 1e-10, 1e-8, 1e-6, 1e-3):
             for dz in (0.0, 1e-12, 1e-9):
                 coin = CoinParams(base - offset, 2 * math.pi * 3 / n + dz, 0.4, 0.3)
-                spec = spectrum(n, coin.theta, coin.zeta, coin.xi, coin.eta)
-                lam = eigenvalues(spec)
+                spec = spectrum(n, coin.theta, coin.zeta, coin.xi)
+                lam = eigenvalues(spec, coin.eta)
                 for k in range(n):
                     b = block(k, coin, n)
                     for i, proj in enumerate(projectors(spec.axes[k])):
