@@ -86,8 +86,8 @@ def limiting_distribution(state0: WalkState, coin: CoinParams) -> NDArray[np.flo
     blocks of a zone form one group, and sum_i |ifft(P^i psi)|^2 is
     (|ifft(psi)|^2 + |ifft(T psi)|^2)/2.  Otherwise the result is exactly
     uniform.  A scalar block is its own partner and adds no cross term.
-    Negative entries above -1e-12 (float dust) are clipped and the vector
-    renormalized.
+    Negative entries above -1e-12 (float dust) are clipped, and the vector is
+    checked and then renormalized.
     """
     n = state0.n_nodes
     m = round(n * coin.zeta / np.pi)
@@ -110,6 +110,6 @@ def limiting_distribution(state0: WalkState, coin: CoinParams) -> NDArray[np.flo
         probs = 1.0 / n + np.fft.ifft(cross).real
 
     probs[(probs < 0) & (probs > -1e-12)] = 0.0
+    check_distribution(probs)  # before the division, which would hide a wrong factor
     probs /= probs.sum()
-    check_distribution(probs)
     return probs

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -98,6 +99,7 @@ def _axis_arg(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache  # built on the first call, then reused: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwcycle",

@@ -9,8 +9,9 @@ as a (2, N) view, which is the shape every numerical kernel works with.
 from __future__ import annotations
 
 import cmath
-import csv
+import io
 import math
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -33,6 +34,11 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
+
+# one row of a raw:@FILE state; the indices parse as integers, so 1.0 is refused
+_RAW_ROW = np.dtype([("s", int), ("j", int), ("re", float), ("im", float)])
+# a line whose first field, unquoted and stripped, starts with '#'
+_COMMENT_LINE = re.compile(r'^(?:"[^\S\n]*|[^\S\n]*)#.*', re.MULTILINE)
 
 
 def _whole(value: float, least: int, name: str) -> int:
@@ -157,13 +163,21 @@ def make_state(spec: InitialStateSpec, n_nodes: int) -> WalkState:
         coin = 1 if isinstance(spec, EntangledPair) else 0  # of the |p> term
         grid[0, 0] = grid[coin, p] = 1 / math.sqrt(2)
     elif isinstance(spec, Raw):
-        for s, j, re, im in spec.entries:
+        rows = np.array(spec.entries, dtype=float).reshape(len(spec.entries), 4)
+        s, j, real, imag = rows.T
+        ok = ((s == 0) | (s == 1)) & (j >= 0) & (j < n) & (j == np.floor(j))
+        ok &= np.isfinite(real) & np.isfinite(imag)
+        if not ok.all():
+            # the first bad row's message, naming its values as given
+            s, j, real, imag = spec.entries[int(np.argmin(ok))]
             if s not in (0, 1):
                 raise ValueError(f"chirality index must be 0 or 1, got {s}")
             j = _node(j, n)
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise ValueError(f"raw amplitude at s={s}, j={j} must be finite, got {re}, {im}")
-            grid[int(s), j] += complex(re, im)
+            raise ValueError(f"raw amplitude at s={s}, j={j} must be finite, got {real}, {imag}")
+        # bincount adds each cell's rows in input order, as a loop of += would
+        at = (s * n + j).astype(np.intp)
+        grid.real = np.bincount(at, real, 2 * n).reshape(2, n)
+        grid.imag = np.bincount(at, imag, 2 * n).reshape(2, n)
         # scaled by the largest |amplitude| first, so that the squares in the
         # norm neither overflow nor underflow
         scale = np.abs(grid).max()
@@ -214,15 +228,24 @@ def parse_state(text: str) -> InitialStateSpec:
     if kind == "raw":
         if not rest.startswith("@"):
             raise ValueError("'raw' takes @FILE with CSV rows s,j,re,im")
-        entries = []
-        with open(rest[1:], newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].strip().startswith("#"):
-                    continue
-                if len(row) != 4:
-                    raise ValueError(f"raw row must be s,j,re,im, got {row!r}")
-                entries.append((int(row[0]), int(row[1]), float(row[2]), float(row[3])))
-        return Raw(entries=tuple(entries))
+        with open(rest[1:]) as fh:
+            body = fh.read()
+        if "#" in body:  # else no line is a comment, and the regex's pass is skipped
+            body = _COMMENT_LINE.sub("", body)
+        if not body.strip("\n"):  # loadtxt would warn that it read no rows
+            return Raw(entries=())
+        try:
+            rows = np.loadtxt(
+                io.StringIO(body), dtype=_RAW_ROW, delimiter=",", quotechar='"',
+                comments=None, ndmin=1,
+            )
+        except ValueError as exc:
+            # numpy's row number counts only data rows, from 0 or from 1 by the
+            # error, so it names no line of the file: keep what it says is wrong
+            detail = str(exc).partition(" at row ")[0]
+            raise ValueError(f"raw rows must be s,j,re,im: {detail}") from None
+        columns = (rows[name].tolist() for name in _RAW_ROW.names)
+        return Raw(entries=tuple(zip(*columns)))
     raise ValueError(f"unknown initial-state spec {text!r}")
 
 

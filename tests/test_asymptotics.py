@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwcycle import asymptotics
 from qwcycle.asymptotics import _coin_gram, asymptotic_reduced_density, limiting_distribution
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
 from qwcycle.evolution import evolve, time_avg_distribution, time_avg_reduced_density
@@ -301,6 +302,15 @@ def test_core_matches_per_block_reference(rng):
         ld_ref, rho_ref = pair_sum_reference(state, coin)
         assert np.abs(limiting_distribution(state, coin) - ld_ref).max() < 1e-13
         assert np.abs(asymptotic_reduced_density(state, coin) - rho_ref).max() < 1e-13
+
+
+def test_wrong_factor_is_not_renormalized_away(monkeypatch, rng):
+    # a zone route with T psi doubled sums to 2.5 before the final division;
+    # the check sees that sum instead of the renormalized vector
+    turned = asymptotics._turned
+    monkeypatch.setattr(asymptotics, "_turned", lambda spec, psis: 2 * turned(spec, psis))
+    with pytest.raises(ValueError, match="does not sum to 1"):
+        limiting_distribution(random_state(rng, 16), CoinParams(math.pi / 2, 0.3, 0.7))
 
 
 @pytest.mark.parametrize("n", [6, 7, 2048])

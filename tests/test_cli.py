@@ -2,12 +2,15 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qwcycle
 from qwcycle import (
     asymptotic_reduced_density,
     hadamard_params,
@@ -17,7 +20,7 @@ from qwcycle import (
     parse_state,
     time_avg_reduced_density,
 )
-from qwcycle.cli import _fmt, main
+from qwcycle.cli import _build_parser, _fmt, main
 
 
 def run_cli(args, capsys):
@@ -242,12 +245,44 @@ def test_window_too_long_for_the_rounded_coin_is_named(nodes, tmax, capsys):
     assert "is unitary only to" in err
 
 
-def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qwcycle.cli", "ld", "-N", "4"],
+def _run_python(args):
+    """``python args`` in a fresh process that imports this checkout's qwcycle,
+    with or without PYTHONPATH set."""
+    src = str(Path(qwcycle.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point():
+    proc = _run_python(["-m", "qwcycle.cli", "ld", "-N", "4"])
     assert proc.returncode == 0
     assert proc.stdout.startswith("v,pi_v")
+
+
+def test_parser_is_built_on_first_use():
+    probe = "import qwcycle.cli as c; print(c._build_parser.cache_info().currsize)"
+    proc = _run_python(["-c", probe])
+    assert proc.returncode == 0 and proc.stdout == "0\n"
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    assert _build_parser() is _build_parser()
+    axes = ["--axis1=0:pi:2", "--axis2=0:pi:2"]
+    # a flag set on one call is not "set" on the next
+    assert main(["temp", "-N", "6", "--scan", "bloch", "--coin", "diaz:pi/3", *axes]) == 0
+    assert main(["temp", "-N", "6", "--scan", "phases", *axes]) == 0
+    assert "does not read" not in capsys.readouterr().err
+    code, out = run_cli(["ld", "-N", "5", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["n_nodes"] == 5
+    code, out = run_cli(["ld", "-N", "5"], capsys)
+    assert code == 0 and out.startswith("v,pi_v")
+    # a call that fails on a bad flag leaves the parser whole
+    assert main(["ld", "-N", "5", "--no-such-flag"]) == 2
+    code, out = run_cli(["ld", "-N", "5"], capsys)
+    assert code == 0 and out.startswith("v,pi_v")

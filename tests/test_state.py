@@ -1,4 +1,6 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +152,103 @@ def test_parse_state_raw_file(tmp_path):
     assert spec == Raw(entries=((0, 0, 1.0, 0.0), (1, 2, 0.0, 1.0)))
     s = make_state(spec, 5)
     assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
+
+
+def _csv_entries(path):
+    """The raw:@FILE rules as a literal csv-reader loop: rows s,j,re,im; a row
+    whose first field starts with '#' and an empty row are skipped."""
+    entries = []
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            if not row or row[0].strip().startswith("#"):
+                continue
+            if len(row) != 4:
+                raise ValueError(f"raw row must be s,j,re,im, got {row!r}")
+            entries.append((int(row[0]), int(row[1]), float(row[2]), float(row[3])))
+    return tuple(entries)
+
+
+def _looped_grid(entries, n):
+    """make_state's raw grid as a literal loop of += in row order."""
+    grid = np.zeros((2, n), dtype=np.complex128)
+    for s, j, re, im in entries:
+        grid[s, j] += complex(re, im)
+    grid /= np.abs(grid).max()
+    return grid / np.linalg.norm(grid)
+
+
+def _raw_file(tmp_path, text):
+    path = tmp_path / "amps.csv"
+    path.write_bytes(text.encode())
+    return path
+
+
+RAW_ROWS = ((0, 1, 0.5, 0.0), (1, 2, 0.25, -1.0))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0,1,0.5,0\n1,2,0.25,-1\n",
+        "# header\n0,1,0.5,0\n  # indented, with, commas\n\t#tab\n1,2,0.25,-1\n# no newline",
+        "\n0,1,0.5,0\n\n\n1,2,0.25,-1\n\n",
+        "# c\r\n0,1,0.5,0\r\n\r\n1,2,0.25,-1\r\n",
+        " 0 , 1 ,  0.5 , 0 \n1,\t2,0.25\t,-1",
+        '"0","1","0.5","0"\n"1","2","0.25","-1"\n',
+        '"# quoted comment",1\n0,+1,5e-1,-0\n1,2,.25,-1e0\n',
+    ],
+    ids=["plain", "comments", "blank", "crlf", "spaces", "quoted", "signs"],
+)
+def test_raw_file_parses_as_the_csv_rules(tmp_path, text):
+    path = _raw_file(tmp_path, text)
+    spec = parse_state(f"raw:@{path}")
+    assert spec == Raw(entries=_csv_entries(path)) == Raw(entries=RAW_ROWS)
+    assert [tuple(map(type, row)) for row in spec.entries] == [(int, int, float, float)] * 2
+    want = _looped_grid(spec.entries, 4)
+    assert make_state(spec, 4).as_grid().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0,1,0.5,0\n0,1,0.5\n", "s,j,re,im"),
+        ("0,1,0.5,0,0\n", "s,j,re,im"),
+        ("0,1,abc,0\n", "'abc'"),
+        ("0,1,0.5,0 # x\n", "'0 # x'"),
+        ("0,1.5,0.5,0\n", "'1.5'"),
+        ("0,1.0,0.5,0\n", "'1.0'"),  # an index parses as int() would: no 1.0
+        ("0,1,0.5,0\n   \n", "s,j,re,im"),
+        ("1,0,1,0\n2,1,0.5,0\n", "^chirality index must be 0 or 1, got 2$"),
+        ("0,4,0.5,0\n", "^node 4 out of range for N=4$"),
+        ("0,1,0.5,0\n1,2,nan,0\n", "^raw amplitude at s=1, j=2 must be finite, got nan, 0.0$"),
+        ("", "^raw amplitudes sum to the zero vector$"),
+        ("# one\n  # two\n\n", "^raw amplitudes sum to the zero vector$"),
+    ],
+    ids=[
+        "3-field", "5-field", "non-numeric", "trailing-comment", "j=1.5", "j=1.0",
+        "blank-spaces", "s=2", "j=N", "nan", "empty", "comments-only",
+    ],
+)
+def test_raw_file_rejects(tmp_path, text, message):
+    path = _raw_file(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" among them
+        with pytest.raises(ValueError, match=message):
+            make_state(parse_state(f"raw:@{path}"), 4)
+    with pytest.raises(ValueError):
+        make_state(Raw(entries=_csv_entries(path)), 4)
+
+
+def test_raw_file_repeated_rows_add_in_order(tmp_path, rng):
+    n, count = 5, 2000
+    s, j = rng.integers(0, 2, count), rng.integers(0, n, count)
+    amps = rng.standard_normal((count, 2)) * 10.0 ** rng.integers(-8, 9, (count, 1))
+    rows = [f"{a},{b},{re!r},{im!r}" for a, b, (re, im) in zip(s, j, amps.tolist())]
+    path = _raw_file(tmp_path, "\n".join(rows) + "\n")
+    spec = parse_state(f"raw:@{path}")
+    assert spec == Raw(entries=_csv_entries(path))
+    want = _looped_grid(spec.entries, n)
+    assert make_state(spec, n).as_grid().tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
