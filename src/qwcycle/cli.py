@@ -136,15 +136,17 @@ def _build_parser() -> argparse.ArgumentParser:
     # None marks a flag left unset, so that one the scan does not read is refused
     p_temp.set_defaults(coin=None, init=None)
 
+    # the sweep's defaults are run_verification()'s, read from VerifyConfig
+    sweep = VerifyConfig()
     p_ver = sub.add_parser("verify", help="randomized oracle-vs-closed-form sweep")
     p_ver.add_argument("--out", default=None, help="output path (default: stdout)")
-    p_ver.add_argument("--seed", type=int, default=7)
-    p_ver.add_argument("--tmax", type=float, default=200_000, help="averaging steps")
-    p_ver.add_argument("--n-min", type=int, default=3)
-    p_ver.add_argument("--n-max", type=int, default=12)
-    p_ver.add_argument("--coins", type=int, default=20, help="coins per cycle size")
-    p_ver.add_argument("--states", type=int, default=5, help="states per coin")
-    p_ver.add_argument("--tol", type=float, default=1e-2)
+    p_ver.add_argument("--seed", type=int, default=sweep.seed)
+    p_ver.add_argument("--tmax", type=float, default=sweep.t_max, help="averaging steps")
+    p_ver.add_argument("--n-min", type=int, default=min(sweep.n_values))
+    p_ver.add_argument("--n-max", type=int, default=max(sweep.n_values))
+    p_ver.add_argument("--coins", type=int, default=sweep.coins_per_n, help="coins per cycle size")
+    p_ver.add_argument("--states", type=int, default=sweep.states_per_coin, help="states per coin")
+    p_ver.add_argument("--tol", type=float, default=sweep.tolerance)
     return parser
 
 

@@ -13,14 +13,19 @@ Two routes compute a time average over t = 1..t_max, and ``_window_sums``
 picks the cheaper for its input.  ``_walk`` steps X walks at once with one
 matmul and one index gather; it is ``evolve``'s kernel and the step-loop route.
 Binary doubling sums U^t rho U^-t over the window exactly on the momentum
-blocks of U^m.  The sum is Hermitian and the averages read only its wrapped
-diagonals, so it keeps the diagonals d = 0..N/2, in O(N^2 / 2) work per bit of
-t_max and O(N^2 / 2) memory per walk.  It takes nothing from ``spectral``,
-``asymptotics`` or ``state.momentum_spinors``: no eigenvalue and no degeneracy
-tolerance, only translation invariance, so it stays independent of the closed
-forms it checks.  ``time_avg_distribution``, ``time_avg_reduced_density`` and
-the verification sweep go through ``_window_sums``; the literal ``np.roll`` step
-and 2N x 2N average both routes are pinned to live in ``qwcycle.reference``.
+blocks of U^m, with U^m from exact steps while m <= 2N.  The sum is Hermitian
+and the averages read only its wrapped diagonals, so it keeps the diagonals
+d = 0..N/2, in O(N^2 / 2) work per bit of t_max and O(N^2 / 2) memory per
+walk.  It takes nothing from ``spectral``, ``asymptotics`` or
+``state.momentum_spinors``: no eigenvalue and no degeneracy tolerance, only
+translation invariance, so it stays independent of the closed forms it checks.
+``time_avg_distribution``, ``time_avg_reduced_density`` and the verification
+sweep go through ``_window_sums``; the literal ``np.roll`` step and 2N x 2N
+average both routes are pinned to live in ``qwcycle.reference``.
+
+Every density the program checks is a 2x2 coin density, so the invariant
+checks read its two eigenvalues off one closed form, ``_eigenvalues``, the
+formula ``thermo`` reads every temperature from.
 """
 
 from __future__ import annotations
@@ -30,13 +35,12 @@ from collections.abc import Iterator
 import numpy as np
 from numpy.typing import NDArray
 
-from .state import WalkState, _whole
+from .state import WalkState, _norm, _whole
 
 __all__ = [
     "evolve",
     "time_avg_distribution",
     "time_avg_reduced_density",
-    "check_density",
     "check_reduced_density",
     "check_distribution",
 ]
@@ -51,13 +55,6 @@ DOUBLING_MAX_BYTES = 2**26
 # the size of a core's L2 cache: at X = 100, N = 64, T = 2000 one 54 MB chunk
 # took 208-226 ms where chunks of two or three walks took 155 ms.
 DOUBLING_CHUNK_BYTES = 2**21
-
-
-def _seed_len(n: int, steps: int) -> int:
-    """m0 = steps >> s, the top bits of the window for the least shift s that
-    gives m0 <= 2N: doubling takes U^m from exact steps while m <= m0."""
-    shift = max(0, steps.bit_length() - (2 * n).bit_length())
-    return steps >> shift if steps >> shift <= 2 * n else steps >> shift + 1
 
 
 def _doubling_chunk(n: int) -> int:
@@ -78,26 +75,16 @@ def _doubling_is_cheaper(x: int, n: int, steps: int) -> bool:
     Costs in microseconds, fitted to best-of-3 timings: doubling once, per
     bit of t_max (a constant and a + b (N/2 + 1) N per walk, refitted on one
     pinned core for X in {1, 2, 5, 20, 100}, N = 3..600, t_max = 1..2e5) and
-    per seed step; the step loop per step (X up to 400, N = 4..400).  Above
-    ``DOUBLING_MAX_BYTES`` it steps.  Doubling vs step loop: 232-257 vs
+    per seed step, counted as min(t_max, 2N); the step loop per step (X up to
+    400, N = 4..400).  Above ``DOUBLING_MAX_BYTES`` it steps.  Doubling vs step loop: 232-257 vs
     309-360 ms at X = 100, N = 64, T = 2000; 24-31 vs 21-33 ms at X = 1,
     N = 256, T = 2000, 29-34 vs 210-246 ms at 2e4.
     """
     if _doubling_chunk(n) < 1:
         return False
-    m0, bits, h = _seed_len(n, steps), steps.bit_length() - 1, n // 2 + 1
-    doubling = 113 + bits * (27 + x * (2.0 + 0.044 * h * n)) + x * n * (0.055 * m0 + 0.04 * n)
+    seed, bits, h = min(steps, 2 * n), steps.bit_length() - 1, n // 2 + 1
+    doubling = 113 + bits * (27 + x * (2.0 + 0.044 * h * n)) + x * n * (0.055 * seed + 0.04 * n)
     return doubling <= steps * (7.2 + x * (0.23 + 0.0134 * n))
-
-
-def _unitary(coins: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """The (X, 2, 2) coins, unless one is not unitary within 1e-10: any other
-    coin leaks or gains norm, and every average would be silently off."""
-    coins = np.asarray(coins)
-    gram = np.matmul(coins.conj().swapaxes(1, 2), coins)
-    if not np.abs(gram - np.eye(2)).max() <= 1e-10:
-        raise ValueError("coin is not unitary within 1e-10")
-    return coins
 
 
 def _shift_source(n: int) -> NDArray[np.intp]:
@@ -113,8 +100,13 @@ def _walk(
     """Yield the (X, 2, N) amplitudes after each of ``steps`` steps of X walks.
 
     Walk x starts from ``grids[x]`` (2, N) under the unitary ``coins[x]`` (2, 2).
+    Before the first step it raises unless every coin is unitary within 1e-10:
+    any other coin leaks or gains norm, and every average would be silently off.
     """
-    coins = _unitary(coins)
+    coins = np.asarray(coins)
+    gram = np.matmul(coins.conj().swapaxes(1, 2), coins)
+    if not np.abs(gram - np.eye(2)).max() <= 1e-10:
+        raise ValueError("coin is not unitary within 1e-10")
     x, _, n = grids.shape
     source = _shift_source(n)
     amps = np.array(grids, dtype=np.complex128)
@@ -134,7 +126,7 @@ def evolve(state0: WalkState, coin: NDArray[np.complex128], t: int) -> WalkState
     grids = state0.as_grid()[None]
     for grids in _walk(np.asarray(coin)[None], grids, _whole(t, 0, "t")):
         pass
-    norm = np.linalg.norm(grids[0])
+    norm = _norm(grids[0])
     if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"evolution lost unitarity: |norm - 1| = {abs(norm - 1.0):.3e}")
     return WalkState.from_grid(grids[0] / norm)
@@ -193,14 +185,15 @@ def _doubled_sums(
     conjugates of those at N - d, so D[s, r, d, k] = S[s, k; r, k - d] is
     kept for d = 0..N/2 alone.  From the top bit of t_max down,
     S(2m) adds P_k D[d, k] P_(k-d)^dag, P = U^m, and a 1 bit adds
-    u_k u_(k-d)^dag, u = U^(2m+1) psi.  While m <= m0 <= 2N, W = (P | u) is
-    one FFT of e_{0,0}, e_{1,0} and psi stepped exactly by ``_walk``; past m0,
-    W <- P W, then B W on a 1 bit, B = U^1.  sum_s |a_s(v)|^2 is the inverse
-    real FFT of sum_k D[s, s, d, k], and sum_k D[0, 1, 0, k] the coherence.
+    u_k u_(k-d)^dag, u = U^(2m+1) psi.  While m <= 2N, W = (P | u) is one
+    FFT of e_{0,0}, e_{1,0} and psi stepped exactly by ``_walk``, which steps
+    only as far as the largest such m; past it, W <- P W, then B W on a 1 bit,
+    B = U^1.  sum_s |a_s(v)|^2 is the inverse real FFT of sum_k D[s, s, d, k],
+    and sum_k D[0, 1, 0, k] the coherence.
     """
-    coins = _unitary(coins)
+    coins = np.asarray(coins)  # ``_walk`` checks each chunk's coins before its first step
     x, _, n = grids.shape
-    m0, h = _seed_len(n, steps), n // 2 + 1
+    h = n // 2 + 1
     lag = (np.arange(n) - np.arange(h)[:, None]) % n  # k - d at (d, k)
     chunk = min(x, max(1, _doubling_chunk(n)))
     probs, coherence = np.empty((x, 2, n)), np.empty(x, dtype=np.complex128)
@@ -210,7 +203,7 @@ def _doubled_sums(
         walkers = np.zeros((c, 3, 2, n), dtype=np.complex128)
         walkers[:, 0, 0, 0] = walkers[:, 1, 1, 0] = 1.0  # e_{0,0} and e_{1,0}
         walkers[:, 2] = grids[part]
-        walk = _walk(np.repeat(coins[part], 3, axis=0), walkers.reshape(3 * c, 2, n), m0)
+        walk = _walk(np.repeat(coins[part], 3, axis=0), walkers.reshape(3 * c, 2, n), 2 * n)
         w = step = np.fft.fft(next(walk).reshape(c, 3, 2, n)).swapaxes(1, 2)  # (B | u)[x, s, j, k]
         # take writes in place only into C-contiguous buffers, so each is a flat prefix
         diag, turned, scratch, lagged = (b[: c * 4 * h * n].reshape(c, 2, 2, h, n) for b in buffers)
@@ -230,7 +223,7 @@ def _doubled_sums(
             for a in range(2):
                 np.multiply(turned[:, :, None, a], lagged[:, None, :, a], out=scratch)
                 diag += scratch
-            if m <= m0:  # W from exact steps
+            if m <= 2 * n:  # W from exact steps
                 for _ in range(m - m // 2):
                     amps = next(walk)
                 w = np.fft.fft(amps.reshape(c, 3, 2, n)).swapaxes(1, 2)
@@ -282,19 +275,33 @@ def time_avg_reduced_density(
 # invariant checks shared by oracle outputs and CLI writers
 # ---------------------------------------------------------------------------
 
+def _eigenvalues(rho) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """l1 >= l2 of the Hermitian 2x2 matrices rho (..., 2, 2), from the closed
+    form mean +/- radius; NaN where an entry it reads is NaN."""
+    d0, d1 = rho[..., 0, 0].real, rho[..., 1, 1].real
+    mean = 0.5 * (d0 + d1)
+    radius = np.hypot(0.5 * (d0 - d1), np.abs(rho[..., 0, 1]))
+    return mean + radius, mean - radius
+
+
 def _density_residuals(rho: NDArray[np.complex128]) -> tuple[NDArray[np.float64], ...]:
-    """How far each matrix of rho (..., d, d) is from a density matrix, shaped (...):
-    the Hermiticity residual, |trace - 1| and the depth of its lowest eigenvalue
-    below 0.  A NaN entry makes the first two NaN, which no ``<= tol`` test passes."""
+    """How far each matrix of rho (..., 2, 2) is from a density matrix, shaped (...):
+    the Hermiticity residual, |trace - 1| and the depth below 0 of the lowest
+    eigenvalue of its Hermitian part.  A NaN entry makes the first NaN, which
+    no ``<= tol`` test passes."""
     adjoint = rho.conj().swapaxes(-1, -2)
     trace = np.trace(rho, axis1=-2, axis2=-1)
-    lowest = np.linalg.eigvalsh(0.5 * (rho + adjoint)).min(axis=-1)
+    lowest = _eigenvalues(0.5 * (rho + adjoint))[1]
     return np.abs(rho - adjoint).max(axis=(-2, -1)), np.abs(trace - 1.0), np.maximum(0.0, -lowest)
 
 
-def check_density(rho: NDArray[np.complex128], tol: float = 1e-10) -> None:
-    """Raise unless rho is Hermitian, trace-1, and PSD within ``tol``."""
-    herm, trace, negative = _density_residuals(rho)
+def check_reduced_density(rho_c: NDArray[np.complex128], tol: float = 1e-10) -> None:
+    """Raise unless rho_c is a 2x2 coin density: Hermitian, trace-1 and PSD
+    within ``tol``."""
+    rho_c = np.asarray(rho_c)
+    if rho_c.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got {rho_c.shape}")
+    herm, trace, negative = _density_residuals(rho_c)
     if not herm <= tol:
         raise ValueError("density matrix is not Hermitian within tolerance")
     if not trace <= tol:
@@ -303,18 +310,11 @@ def check_density(rho: NDArray[np.complex128], tol: float = 1e-10) -> None:
         raise ValueError("density matrix has an eigenvalue below -tolerance")
 
 
-def check_reduced_density(rho_c: NDArray[np.complex128], tol: float = 1e-10) -> None:
-    """Same invariants specialized to the 2x2 coin-space matrix."""
-    rho_c = np.asarray(rho_c)
-    if rho_c.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got {rho_c.shape}")
-    check_density(rho_c, tol=tol)
-
-
-def check_distribution(probs: NDArray[np.float64], tol: float = 1e-10) -> None:
-    """Raise unless probs is a probability vector (entries >= -1e-12, sum 1)."""
+def check_distribution(probs: NDArray[np.float64]) -> None:
+    """Raise unless probs is a probability vector (entries >= -1e-12, sum 1
+    within 1e-10)."""
     probs = np.asarray(probs)
     if not probs.min() >= -1e-12:
         raise ValueError("distribution has a negative entry beyond -1e-12")
-    if not abs(probs.sum() - 1.0) <= tol:
+    if not abs(probs.sum() - 1.0) <= 1e-10:
         raise ValueError("distribution does not sum to 1 within tolerance")

@@ -52,6 +52,13 @@ def _whole(value: float, least: int, name: str) -> int:
     return int(value)
 
 
+def _norm(grid: NDArray[np.complex128]) -> float:
+    """sqrt(sum |a|^2) over a C-contiguous complex array, with the two real
+    dot products numpy's ``linalg.norm`` takes, so that the two agree bit for bit."""
+    flat = grid.ravel()
+    return math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+
+
 @dataclass(frozen=True, eq=False)
 class WalkState:
     """Normalized pure state of the walker; amplitudes flat (2N,), coin-major."""
@@ -184,7 +191,7 @@ def make_state(spec: InitialStateSpec, n_nodes: int) -> WalkState:
         if scale == 0.0:
             raise ValueError("raw amplitudes sum to the zero vector")
         grid /= scale
-        grid /= np.linalg.norm(grid)
+        grid /= _norm(grid)
     else:
         raise TypeError(f"unknown initial-state spec {spec!r}")
     return WalkState.from_grid(grid)

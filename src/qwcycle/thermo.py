@@ -44,7 +44,7 @@ from numpy.typing import NDArray
 from .angles import canonicalize
 from .asymptotics import _coin_gram, asymptotic_reduced_density
 from .coin import CoinParams, hadamard_params
-from .evolution import check_reduced_density
+from .evolution import _eigenvalues, check_reduced_density
 from .spectral import spectrum
 from .state import InitialStateSpec, WalkState, _whole, make_state, momentum_spinors
 
@@ -79,11 +79,10 @@ class TemperatureResult:
 
 def _temperatures(rho) -> tuple[NDArray[np.float64], ...]:
     """lambda1 >= lambda2 and T = 2 / ln(lambda1/lambda2) (units of E0) of the
-    Hermitian 2x2 matrices rho (..., 2, 2), from the closed form mean +/- radius."""
-    d0, d1 = rho[..., 0, 0].real, rho[..., 1, 1].real
-    mean = 0.5 * (d0 + d1)
-    radius = np.hypot(0.5 * (d0 - d1), np.abs(rho[..., 0, 1]))
-    l1, l2 = mean + radius, np.maximum(mean - radius, 0.0)
+    Hermitian 2x2 matrices rho (..., 2, 2), from ``evolution._eigenvalues``, the
+    closed form the density checks read too."""
+    l1, l2 = _eigenvalues(rho)
+    l2 = np.maximum(l2, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         temp = 2.0 / np.log(l1 / l2)
     return l1, l2, np.select([l1 - l2 <= _MIXED_GAP_TOL, l2 <= _PURE_TOL], [math.inf, 0.0], temp)

@@ -24,6 +24,12 @@ degeneracy tolerance, only translation invariance, and nothing from
 ``spectral``, ``asymptotics`` or ``state.momentum_spinors``; unit tests pin it
 to the step loop ``evolve`` runs and to the literal ``np.roll`` oracle kept in
 ``qwcycle.reference``, the 2N x 2N average ``reference.time_avg_density``.
+
+Every closed-form and oracle coin density is also scored as a density: its
+Hermiticity residual, |trace - 1| and how far its lower eigenvalue, read off
+the 2x2 closed form the temperatures use, falls below 0.  The worst of these
+is ``max_density_defect``.  ``qwcycle verify`` takes its defaults from
+``VerifyConfig``, so a bare call runs the sweep ``run_verification()`` runs.
 """
 
 from __future__ import annotations
@@ -142,7 +148,7 @@ def sample_coins(rng: np.random.Generator, n_nodes: int, count: int) -> list[Coi
 def _random_states(rng: np.random.Generator, n_nodes: int, count: int) -> NDArray[np.complex128]:
     """(count, 2, N) stack of dense normalized random states."""
     z = rng.standard_normal((count, 2, n_nodes)) + 1j * rng.standard_normal((count, 2, n_nodes))
-    z /= np.linalg.norm(z.reshape(count, -1), axis=1)[:, None, None]
+    z /= np.sqrt((z.conj() * z).real.reshape(count, -1).sum(axis=1))[:, None, None]
     return z
 
 

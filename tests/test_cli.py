@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qwcycle import (
     time_avg_reduced_density,
 )
 from qwcycle.cli import _build_parser, _fmt, main
+from qwcycle.verify import VerifyConfig
 
 
 def run_cli(args, capsys):
@@ -187,6 +189,19 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     )
     assert code == 1
     assert "FAIL" in out and "worst configuration" in out
+
+
+def test_bare_verify_runs_the_default_sweep(monkeypatch, capsys):
+    # a spy in place of the sweep: no sweep runs
+    configs = []
+
+    def spy(config):
+        configs.append(config)
+        return SimpleNamespace(summary_lines=lambda: ["PASS"], passed=True)
+
+    monkeypatch.setattr("qwcycle.cli.run_verification", spy)
+    assert run_cli(["verify"], capsys) == (0, "PASS\n")
+    assert configs == [VerifyConfig()]
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwcycle import evolution
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
 from qwcycle.evolution import (
     _density_residuals,
     _doubled_sums,
     _stepped_sums,
-    check_density,
     check_distribution,
     check_reduced_density,
     evolve,
@@ -115,6 +115,20 @@ def test_evolve_rejects_non_unitary_coin():
                 route(coin[None], s.as_grid()[None], 2_000)
 
 
+def test_doubling_checks_the_coins_of_every_chunk(monkeypatch, rng):
+    # room for the fixed buffers and two walks: X = 5 runs in chunks of 2, 2 and 1
+    n, x = 4, 5
+    h = n // 2 + 1
+    cap = 2**18 + 8 * h * n + 2 * 16 * (16 * h * n + 56 * n + 512)
+    monkeypatch.setattr(evolution, "DOUBLING_MAX_BYTES", cap)
+    assert evolution._doubling_chunk(n) == 2
+    coins = np.repeat(build_coin(hadamard_params())[None], x, axis=0)
+    coins[-1] *= 1.01  # only the last chunk's coin leaks norm
+    grids = np.stack([random_state(rng, n).as_grid() for _ in range(x)])
+    with pytest.raises(ValueError, match=r"coin is not unitary within 1e-10"):
+        _doubled_sums(coins, grids, 100)
+
+
 def test_window_drift_names_t_max_and_the_coin():
     # unitary within 1e-10, so both routes take it; its excess norm compounds
     # past 1e-10 of the window's sum within a few steps
@@ -129,7 +143,10 @@ def test_reduced_average_consistent_with_full_density(rng):
     coin = build_coin(CoinParams(0.7, 0.5, -0.9, 0.0))
     s = random_state(rng, 5)
     full = time_avg_density(s, coin, 300)
-    check_density(full)
+    # a 2N x 2N density: Hermitian, trace 1 and PSD within 1e-10
+    assert np.abs(full - full.conj().T).max() <= 1e-10
+    assert abs(np.trace(full) - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(full).min() >= -1e-10
     direct = time_avg_reduced_density(s, coin, 300)
     assert np.abs(direct - reduce_to_coin(full)).max() < 1e-13
 
@@ -165,11 +182,11 @@ def test_time_average_requires_positive_window():
 
 def test_checks_reject_defects():
     with pytest.raises(ValueError):
-        check_density(np.array([[0.5, 0.1], [0.3, 0.5]]))  # not Hermitian
+        check_reduced_density(np.array([[0.5, 0.1], [0.3, 0.5]]))  # not Hermitian
     with pytest.raises(ValueError):
-        check_density(np.eye(2))  # trace 2
+        check_reduced_density(np.eye(2))  # trace 2
     with pytest.raises(ValueError):
-        check_density(np.diag([1.5, -0.5]))  # negative eigenvalue
+        check_reduced_density(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         check_reduced_density(np.eye(4) / 4)  # wrong shape
     with pytest.raises(ValueError):
@@ -180,7 +197,7 @@ def test_checks_reject_defects():
         check_distribution(np.full(4, np.nan))
     for rho in (np.full((2, 2), np.nan), np.diag([np.nan, 1.0])):
         with pytest.raises(ValueError):
-            check_density(rho)
+            check_reduced_density(rho)
     check_distribution(np.array([0.25, 0.75]))
 
 
@@ -197,7 +214,49 @@ def test_density_residuals_of_a_stack_match_per_matrix(rng):
     herm, trace, _ = (r.reshape(-1) for r in stacked)
     assert herm[7] > 1e-4 and np.isnan(herm[11]) and np.isnan(trace[11])
     with pytest.raises(ValueError):
-        check_density(rhos[11])
+        check_reduced_density(rhos[11])
+
+
+def test_density_checks_match_eigvalsh(rng):
+    # pure, mixed, near-singular and slightly non-Hermitian 2x2 stacks
+    z = rng.standard_normal((2, 400, 2)) + 1j * rng.standard_normal((2, 400, 2))
+    z /= np.sqrt((np.abs(z) ** 2).sum(axis=-1))[..., None]
+    pure, other = z[..., :, None] * z[..., None, :].conj()
+    weights = rng.uniform(0, 1, (400, 1, 1))
+    mixed = weights * pure + (1 - weights) * other
+    # eigenvalues within ~1e-8 of 0, on both sides
+    scale = 10.0 ** rng.uniform(-16, -8, (400, 1, 1)) * rng.choice([-1.0, 1.0], (400, 1, 1))
+    near = (1 - scale) * pure + scale * np.eye(2) / 2
+    tilted = mixed + 10.0 ** rng.uniform(-13, -7, (400, 1, 1)) * (
+        rng.standard_normal((400, 2, 2)) + 1j * rng.standard_normal((400, 2, 2))
+    )
+    rhos = np.concatenate([pure, mixed, near, tilted])
+    herm, trace, negative = _density_residuals(rhos)
+    hermitian = 0.5 * (rhos + rhos.conj().swapaxes(1, 2))
+    lapack = np.maximum(0.0, -np.linalg.eigvalsh(hermitian).min(axis=-1))
+    assert np.abs(negative - lapack).max() <= 1e-15
+    for tol in (1e-10, 1e-8):
+        passed = 0
+        for rho, h, t, depth in zip(rhos, herm, trace, lapack):
+            if abs(depth - tol) <= 1e-15:
+                continue  # only here may the closed form and LAPACK decide apart
+            passes = h <= tol and t <= tol and depth <= tol
+            try:
+                check_reduced_density(rho, tol=tol)
+            except ValueError:
+                assert not passes
+            else:
+                assert passes
+            passed += passes
+        assert 0 < passed < len(rhos)
+    # a NaN entry fails the Hermiticity test, wherever it sits
+    nans = mixed.copy()
+    nans[np.arange(400), rng.integers(0, 2, 400), rng.integers(0, 2, 400)] = np.nan
+    herm, _, negative = _density_residuals(nans)
+    assert np.isnan(herm).all() and np.isnan(negative).all()
+    for rho in nans:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_reduced_density(rho)
 
 
 def test_time_average_convergence_rate():

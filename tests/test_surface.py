@@ -78,6 +78,16 @@ def test_public_names_resolve_without_reference_constructions():
     assert not REFERENCE_NAMES & set(qwcycle.__all__)
 
 
+def test_every_module_export_resolves():
+    # a name left in a module's __all__ after its definition goes breaks star imports
+    for path in sorted(Path(qwcycle.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"qwcycle.{path.stem}".removesuffix(".__init__"))
+        exports = getattr(module, "__all__", ())
+        assert len(set(exports)) == len(exports), path.name
+        for name in exports:
+            assert hasattr(module, name), (path.name, name)
+
+
 def test_reference_module_lists_the_literal_constructions():
     assert set(reference.__all__) == REFERENCE_NAMES | {"characteristic_sums"}
     for name in reference.__all__:
