@@ -28,9 +28,13 @@ contraction forms all of them as a stack of 2x2 matrices, and one formula,
 The phase scan solves only xi = 0, because xi is a gauge:
 D = diag(e^{i xi/2}, e^{-i xi/2}) commutes with the shift and
 Gamma(theta, zeta, xi) = D Gamma(theta, zeta, 0) D^dag, so rho_c(xi; psi) =
-D rho_c(0; D^dag psi) D^dag has the eigenvalues of rho_c(0; D^dag psi).  It
-takes one spectrum per chunk of at most ``_SCAN_SECTORS`` (zeta, k) sectors,
-so its memory stays bounded whatever N.
+D rho_c(0; D^dag psi) D^dag has the eigenvalues of rho_c(0; D^dag psi).  Its
+T0 is row 0 of its own spectrum: the Hadamard coin (pi/4, pi/2, pi/2) is the
+row (theta, zeta) = (pi/4, pi/2) at xi = 0 with c = D(pi/2)^dag (1, 1), and
+its density is checked before its temperature is read.  The scan takes one
+spectrum per chunk of at most ``_SCAN_SECTORS`` (zeta, k) sectors, T0's row
+counted in the first, and a chunk holds at least one row of N sectors, so a
+spectrum spans at most max(``_SCAN_SECTORS``, N) sectors.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .angles import canonicalize
-from .asymptotics import _coin_gram, asymptotic_reduced_density
+from .asymptotics import _coin_gram
 from .coin import CoinParams, hadamard_params
 from .evolution import _eigenvalues, check_reduced_density
 from .spectral import spectrum
@@ -62,9 +66,9 @@ __all__ = [
 _MIXED_GAP_TOL = 1e-13
 # lambda2 at or below this means "pure": T = 0.
 _PURE_TOL = 1e-14
-# The phase scan solves at most this many (zeta, k) sectors per spectrum, so
-# its memory stays bounded for any N: traced, it peaks near 300 bytes per
-# sector of a chunk, of which spectrum peaks at 92 and keeps 33.
+# The phase scan solves at most this many (zeta, k) sectors per spectrum, or
+# one row of N past N = 2^16: traced, it peaks near 300 bytes per sector of a
+# chunk, of which spectrum peaks at 92 and keeps 33.
 _SCAN_SECTORS = 2**16
 
 
@@ -88,11 +92,11 @@ def _temperatures(rho) -> tuple[NDArray[np.float64], ...]:
     return l1, l2, np.select([l1 - l2 <= _MIXED_GAP_TOL, l2 <= _PURE_TOL], [math.inf, 0.0], temp)
 
 
-def _scan_temperatures(spec, basis, c) -> NDArray[np.float64]:
-    """Temperatures (..., P) of the coin densities sum_{a,b} c_a conj(c_b) G[a, b]
-    of the Gram G of ``basis`` (2, ..., N, 2), one per column of c (2, P)."""
-    rho = np.tensordot(_coin_gram(spec, basis), c[:, None] * c.conj(), axes=([-4, -3], [0, 1]))
-    return _temperatures(np.moveaxis(rho, -1, -3))[2]
+def _scan_densities(gram, c) -> NDArray[np.complex128]:
+    """The coin densities sum_{a,b} c_a conj(c_b) G[a, b] (..., P, 2, 2) of Gram
+    matrices G (..., 2, 2, 2, 2) of two spinors, one per column of c (2, P)."""
+    rho = np.tensordot(gram, c[:, None] * c.conj(), axes=([-4, -3], [0, 1]))
+    return np.moveaxis(rho, -1, -3)
 
 
 def entanglement_temperature(rho_c: NDArray[np.complex128]) -> TemperatureResult:
@@ -150,7 +154,8 @@ def bloch_temperature_scan(
     phase = np.concatenate([[1.0], np.tile(np.exp(1j * phis), gammas.size)])  # e^{i phi}
     chi = np.stack([np.cos(g / 2), phase * np.sin(g / 2)])
     basis = np.broadcast_to(np.eye(2)[:, None] / math.sqrt(n), (2, n, 2))
-    temps = _scan_temperatures(spectrum(n, coin.theta, coin.zeta, coin.xi), basis, chi)
+    gram = _coin_gram(spectrum(n, coin.theta, coin.zeta, coin.xi), basis)
+    temps = _temperatures(_scan_densities(gram, chi))[2]
     values = temperature_ratio(temps[1:], temps[0]).reshape(gammas.size, phis.size)
     return ScanGrid("gamma", "phi", gammas, phis, values, reference_temperature=float(temps[0]))
 
@@ -165,7 +170,8 @@ def coin_phase_temperature_scan(
     """T/T0 over coin phases (zeta, xi) at fixed theta, for one initial state.
 
     T0 is the same initial state's temperature under the Hadamard coin, so the
-    map shows what the phase pair changes relative to that baseline.  For a
+    map shows what the phase pair changes relative to that baseline; it rides
+    as row 0 of the scan's first spectrum.  For a
     localized initial state at theta = pi/4 the ratio along the zeta = xi
     diagonal holds at 1 (far below 1e-9 for N ~ 100), while away from it the
     walk runs both hotter (diverging near zeta = xi +/- pi) and colder.
@@ -178,17 +184,25 @@ def coin_phase_temperature_scan(
         raise ValueError(f"state lives on N={state.n_nodes}, not N={n}")
     zetas, xis = _axis(zeta_axis), _axis(xi_axis)
 
-    t0 = entanglement_temperature(asymptotic_reduced_density(state, hadamard_params())).temperature
     # D(xi)^dag psi_k = sum_a c_a psi_{k,a} e_a with c = D(xi)^dag (1, 1)
     psis = momentum_spinors(state)  # (2, N); independent of the coin
     basis = psis[:, None, :, None] * np.eye(2)[:, None, None]
     c = np.exp(0.5j * np.outer([-1.0, 1.0], xis))
-    # the angles CoinParams would hold, so that zeta = pi is the coin at -pi
-    theta, wrapped = canonicalize(theta), np.array([canonicalize(z) for z in zetas])
+    # row 0 is T0's: the Hadamard coin, (theta, zeta) at xi = 0 under the gauge;
+    # the rest hold the angles CoinParams would, so zeta = pi is the coin at -pi
+    hadamard = hadamard_params()
+    thetas = np.full(zetas.size + 1, canonicalize(theta))
+    thetas[0] = hadamard.theta
+    wrapped = np.array([hadamard.zeta] + [canonicalize(z) for z in zetas])
     rows = max(1, _SCAN_SECTORS // n)
-    temps = [
-        _scan_temperatures(spectrum(n, theta, wrapped[i : i + rows], 0.0), basis, c)
-        for i in range(0, zetas.size, rows)
-    ]
+    temps = []
+    for i in range(0, wrapped.size, rows):
+        gram = _coin_gram(spectrum(n, thetas[i : i + rows], wrapped[i : i + rows], 0.0), basis)
+        if i == 0:
+            rho0 = _scan_densities(gram[0], np.exp(0.5j * np.outer([-1.0, 1.0], [hadamard.xi])))[0]
+            check_reduced_density(rho0)
+            t0 = entanglement_temperature(rho0).temperature
+            gram = gram[1:]
+        temps.append(_temperatures(_scan_densities(gram, c))[2])
     values = temperature_ratio(np.concatenate(temps), t0)
     return ScanGrid("zeta", "xi", zetas, xis, values, reference_temperature=t0)

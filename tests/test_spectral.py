@@ -184,3 +184,50 @@ def test_near_scalar_blocks_are_accurate():
                     b = block(k, coin, n)
                     for i, proj in enumerate(projectors(spec.axes[k])):
                         assert np.abs(b @ proj - lam[k, i] * proj).max() < 1e-8
+
+
+def per_sector_spectrum(n, theta, zeta, xi):
+    """The per-sector trig form: sin(xi - w), cos(xi - w), sin(zeta - w) and
+    cos(w - zeta) taken afresh for every coin and every k."""
+    theta, zeta, xi = (x[..., None] for x in np.broadcast_arrays(theta, zeta, xi))
+    w = 2.0 * np.pi * np.arange(n) / n
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    comps = [sin_t * np.sin(xi - w), sin_t * np.cos(xi - w), cos_t * np.sin(zeta - w)]
+    tilt = np.stack(comps, axis=-1)
+    sin_a = np.hypot(sin_t, comps[2])
+    alpha = np.arctan2(sin_a, cos_t * np.cos(w - zeta))
+    scalar = 2.0 * np.minimum(alpha, np.pi - alpha) <= DEGENERACY_TOL
+    axes = np.divide(tilt, sin_a[..., None], out=np.zeros_like(tilt), where=~scalar[..., None])
+    return alpha, axes, scalar
+
+
+@pytest.mark.parametrize("n", [1024, 2048, 4096])
+def test_angle_addition_matches_per_sector_trig(n):
+    # both start from the same rounded w; the axes may differ by the rounding
+    # of the sector terms, which sin(alpha) divides, as the projector gate allows.
+    # Coins: zeta on the pi/N grid, a generic coin, theta near 0 and at 0 with
+    # zeta on the 2 pi/N grid (near-scalar and scalar blocks; at 1e-200
+    # sin(theta)^2 underflows), theta = pi/2, and a broadcast zeta axis
+    on_grid = 2 * math.pi * 3 / n
+    zetas = np.array([-math.pi, 5 * math.pi / n, on_grid, 0.37, 3.0])
+    cases = [
+        (0.7, 5 * math.pi / n, 0.3),
+        (0.9, 0.37, 1.1),
+        (1e-10, on_grid, 0.4),
+        (1e-200, on_grid, 0.4),
+        (0.0, on_grid, 0.4),
+        (math.pi / 2, 0.2, -0.3),
+        (1e-10, zetas, 0.0),
+    ]
+    for theta, zeta, xi in cases:
+        spec = spectrum(n, theta, zeta, xi)
+        alpha, axes, scalar = per_sector_spectrum(n, theta, zeta, xi)
+        assert spec.alpha.shape == alpha.shape and spec.axes.shape == axes.shape
+        assert np.array_equal(spec.scalar, scalar), (theta, zeta)
+        assert (spec.axes[scalar] == 0.0).all()
+        sin_a = np.where(scalar, 0.0, np.sin(alpha))
+        with np.errstate(divide="ignore"):
+            gate = 2e-15 / sin_a
+        assert (np.abs(spec.alpha - alpha) <= gate).all(), (theta, zeta)
+        assert (np.abs(spec.axes - axes).max(axis=-1) <= gate).all(), (theta, zeta)
+    assert spectrum(n, 0.0, on_grid, 0.4).scalar[[3, 3 + n // 2]].all()

@@ -63,7 +63,6 @@ TRACED_NAMES = [
     ("qwcycle.cli", "check_reduced_density"),
     ("qwcycle.verify", "limiting_distribution"),
     ("qwcycle.verify", "asymptotic_reduced_density"),
-    ("qwcycle.thermo", "asymptotic_reduced_density"),
     ("qwcycle.thermo", "momentum_spinors"),
     ("qwcycle.asymptotics", "momentum_spinors"),
     ("qwcycle.asymptotics", "check_distribution"),

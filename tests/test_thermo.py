@@ -124,19 +124,33 @@ def test_scans_match_per_point_density(rng, theta):
 def test_scans_take_one_spectrum(monkeypatch):
     # the phase scan solves only xi = 0 and rotates the state instead (xi is a
     # gauge), so below _SCAN_SECTORS (zeta, k) sectors each scan takes one
-    # spectrum, whatever its xi axis; T0 goes through asymptotics
+    # spectrum, whatever its xi axis; T0 rides in it as row 0, the Hadamard
+    # coin under the same gauge, and no density goes through asymptotics
     calls = []
 
     def counted(*args):
         calls.append(args)
         return spectrum(*args)
 
+    def no_density(*args):
+        raise AssertionError("a scan called asymptotic_reduced_density")
+
     monkeypatch.setattr("qwcycle.thermo.spectrum", counted)
+    monkeypatch.setattr("qwcycle.asymptotics.asymptotic_reduced_density", no_density)
+    monkeypatch.setattr("qwcycle.thermo.asymptotic_reduced_density", no_density, raising=False)
     axes = (-math.pi, math.pi, 7), (-math.pi, math.pi, 5)
     bloch_temperature_scan(CoinParams(0.6, 0.2, -0.8), 9, *axes)
     assert len(calls) == 1
-    coin_phase_temperature_scan(0.6, Local(0, 0.6, 0.8), 9, *axes)
+    whole = coin_phase_temperature_scan(0.6, Local(0, 0.6, 0.8), 9, *axes)
     assert len(calls) == 2
+
+    # one sector row per chunk: T0's row sits alone in the first, and every
+    # value and T0 come out bit for bit as from one spectrum
+    monkeypatch.setattr("qwcycle.thermo._SCAN_SECTORS", 9)
+    chunked = coin_phase_temperature_scan(0.6, Local(0, 0.6, 0.8), 9, *axes)
+    assert len(calls) == 2 + 1 + 7
+    assert np.array_equal(chunked.values, whole.values)
+    assert chunked.reference_temperature == whole.reference_temperature
 
 
 def test_phase_scan_memory_is_bounded(monkeypatch):
@@ -225,3 +239,32 @@ def test_phase_scan_wraps_zeta_like_coin_params():
             t = _temperature(make_state(state, n), CoinParams(theta, grid.axis1[row], xi))
             want = temperature_ratio(t, grid.reference_temperature)
             assert abs(grid.values[row, j] - want) <= 1e-6 * abs(want), (row, j)
+
+
+# The Hadamard walk on the line from a node-local coin |0>, whose asymptotic
+# coin density is [[1 - 1/(2 sqrt 2), (1 - 1/sqrt 2)/2], [same, 1/(2 sqrt 2)]]
+# (Carneiro et al., New J. Phys. 7, 156 (2005)).  Its eigenvalues are
+# 1/sqrt 2 and 1 - 1/sqrt 2, so T = 2/ln(1 + sqrt 2) = 2/asinh(1) and the
+# entanglement entropy is Carneiro et al.'s 0.872.  With mpmath at mp.dps = 50:
+#   LINE_T0 = 2 / mp.asinh(1)
+#   LINE_ENTROPY = -(l * mp.log(l, 2) + (1 - l) * mp.log(1 - l, 2)), l = 1 / mp.sqrt(2)
+LINE_T0 = 2.269185314213021968114490810306572475725981585504
+LINE_ENTROPY = 0.87242933985646807348563941371166053239782726500346
+
+
+def test_phase_scan_reference_is_the_hadamard_line_walk():
+    # a local state has psi_k = chi / sqrt(N) in every sector, so the cycle's
+    # rho_c is the N-point trapezoid rule of the line walk's, exact to rounding
+    # well before N = 31; no oracle is involved
+    r = 1.0 / math.sqrt(2.0)
+    line = np.array([[1 - r / 2, (1 - r) / 2], [(1 - r) / 2, r / 2]])
+    assert abs(entanglement_temperature(line).temperature / LINE_T0 - 1) <= 1e-13
+    for n in (31, 1001):
+        grid = coin_phase_temperature_scan(0.6, Local(0), n, (-1.0, 1.0, 3), (-1.0, 1.0, 2))
+        t0 = grid.reference_temperature
+        assert abs(t0 / LINE_T0 - 1) <= 1e-13, (n, t0)
+        # lambda1 / lambda2 = e^{2/T0}, lambda1 + lambda2 = 1
+        lam = np.array([1.0, math.exp(-2.0 / t0)]) / (1.0 + math.exp(-2.0 / t0))
+        entropy = -(lam * np.log2(lam)).sum()
+        assert abs(entropy - LINE_ENTROPY) <= 1e-13, (n, entropy)
+        assert round(entropy, 3) == 0.872
