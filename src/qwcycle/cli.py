@@ -3,14 +3,18 @@
 Subcommands: ld, rdcm, simulate, temp, verify.  Outputs are CSV (default) or
 JSON, written to --out or stdout.  Exit codes: 0 success, 1 verification
 tolerance breach, 2 invalid configuration.
+
+Every subcommand but verify computes one result and writes it once, as whole
+columns of Python floats (one ``tolist()`` per array).  CSV is one string of
+``repr`` tokens joined by commas, with CRLF line ends: the bytes
+``csv.writer``'s default dialect writes for them.  JSON is
+``json.dumps(payload, indent=2)``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -39,13 +43,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _emit(args: argparse.Namespace, header: list[str], rows: Iterable, payload: dict) -> None:
-    """Write ``rows`` as CSV under ``header``, or ``payload`` as JSON, per --format."""
+def _emit(args: argparse.Namespace, header: str, columns: Iterable[Iterable[str]], payload: dict) -> None:
+    """Write ``columns`` as CSV under ``header``, or ``payload`` as JSON, per --format.
+
+    ``columns`` are equal-length iterables of tokens, each an int's ``str`` or
+    a float's ``repr``.  No token needs quoting, so joining them with commas and
+    ending every line in CRLF writes the bytes of ``csv.writer``'s default
+    dialect in one pass.
+    """
     if args.format == "json":
         return _write(json.dumps(payload, indent=2) + "\n", args.out)
-    buf = io.StringIO()
-    csv.writer(buf).writerows([header, *rows])  # default dialect: CRLF line ends
-    _write(buf.getvalue(), args.out)
+    _write("\r\n".join([header, *map(",".join, zip(*columns)), ""]), args.out)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -59,16 +67,17 @@ def _write(text: str, out: str | None) -> None:
 def _emit_distribution(probs: np.ndarray, args: argparse.Namespace) -> None:
     check_distribution(probs)
     pi = probs.tolist()
-    rows = ([v, _fmt(p)] for v, p in enumerate(pi))
-    _emit(args, ["v", "pi_v"], rows, {"n_nodes": len(pi), "pi": pi})
+    columns = (map(str, range(len(pi))), map(repr, pi))
+    _emit(args, "v,pi_v", columns, {"n_nodes": len(pi), "pi": pi})
 
 
 def _emit_matrix(rho: np.ndarray, args: argparse.Namespace) -> None:
     check_reduced_density(rho, tol=1e-8)
-    keys = ["row", "col", "re", "im"]
-    cells = [(r, c, rho[r, c].real, rho[r, c].imag) for r in range(2) for c in range(2)]
-    rows = ([r, c, _fmt(re), _fmt(im)] for r, c, re, im in cells)
-    _emit(args, keys, rows, {"entries": [dict(zip(keys, cell)) for cell in cells]})
+    re, im = rho.real.ravel().tolist(), rho.imag.ravel().tolist()
+    columns = (("0", "0", "1", "1"), ("0", "1", "0", "1"), map(repr, re), map(repr, im))
+    cells = zip((0, 0, 1, 1), (0, 1, 0, 1), re, im)
+    entries = [dict(zip(("row", "col", "re", "im"), cell)) for cell in cells]
+    _emit(args, "row,col,re,im", columns, {"entries": entries})
 
 
 def _emit_grid(grid: ScanGrid, args: argparse.Namespace) -> None:
@@ -77,7 +86,9 @@ def _emit_grid(grid: ScanGrid, args: argparse.Namespace) -> None:
         return _fmt(x) if math.isinf(x) else x
 
     axis1, axis2, values = grid.axis1.tolist(), grid.axis2.tolist(), grid.values.tolist()
-    rows = ([_fmt(a), _fmt(b), _fmt(v)] for a, vs in zip(axis1, values) for b, v in zip(axis2, vs))
+    # each axis value's token once, repeated over the row-major grid
+    a1, a2 = list(map(repr, axis1)), list(map(repr, axis2))
+    columns = ([a for a in a1 for _ in a2], a2 * len(a1), map(repr, grid.values.ravel().tolist()))
     payload = {
         "axis1": grid.axis1_name,
         "axis2": grid.axis2_name,
@@ -86,7 +97,7 @@ def _emit_grid(grid: ScanGrid, args: argparse.Namespace) -> None:
         "reference_temperature": token(grid.reference_temperature),
         "ratio": [[token(v) for v in row] for row in values],
     }
-    _emit(args, ["axis1", "axis2", "ratio"], rows, payload)
+    _emit(args, "axis1,axis2,ratio", columns, payload)
 
 
 def _axis_arg(text: str) -> tuple[float, float, int]:

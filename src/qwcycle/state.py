@@ -9,10 +9,11 @@ as a (2, N) view, which is the shape every numerical kernel works with.
 from __future__ import annotations
 
 import cmath
+import functools
 import io
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Union
 
 import numpy as np
@@ -125,11 +126,53 @@ class SeparablePair:
     p: int
 
 
-@dataclass(frozen=True)
 class Raw:
-    """Explicit amplitude list of (s, j, re, im) rows; normalized on build."""
+    """Explicit amplitude rows (s, j, re, im); rows that repeat an (s, j) add
+    in order, and the state is normalized on build.
 
-    entries: tuple[tuple[int, int, float, float], ...]
+    ``Raw(entries=((s, j, re, im), ...))`` holds the tuple it is given.  A
+    ``raw:@FILE`` state from ``parse_state`` holds instead the four read-only
+    columns that ``np.loadtxt`` read (integer s and j, float re and im), and
+    ``make_state`` scatters them as they are, with no Python object per row.
+    Either way ``entries`` reads the rows as a tuple of (s, j, re, im), built
+    from the columns on first use, and a Raw compares, hashes and prints by
+    that tuple, as a frozen dataclass of that one field does.  Assigning an
+    attribute raises ``dataclasses.FrozenInstanceError``.
+    """
+
+    __match_args__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, int, float, float], ...]) -> None:
+        object.__setattr__(self, "entries", entries)  # shadows the cached property
+        object.__setattr__(self, "_columns", None)
+
+    @classmethod
+    def _from_columns(cls, columns: tuple[NDArray, ...]) -> Raw:
+        """A Raw over the read-only columns s, j, re, im of a raw:@FILE."""
+        raw = cls.__new__(cls)
+        object.__setattr__(raw, "_columns", columns)
+        return raw
+
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[int, int, float, float], ...]:
+        return tuple(zip(*(column.tolist() for column in self._columns)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries,) == (other.entries,)
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(entries={self.entries!r})"
 
 
 InitialStateSpec = Union[Local, Bloch, EntangledPair, SeparablePair, Raw]
@@ -170,8 +213,10 @@ def make_state(spec: InitialStateSpec, n_nodes: int) -> WalkState:
         coin = 1 if isinstance(spec, EntangledPair) else 0  # of the |p> term
         grid[0, 0] = grid[coin, p] = 1 / math.sqrt(2)
     elif isinstance(spec, Raw):
-        rows = np.array(spec.entries, dtype=float).reshape(len(spec.entries), 4)
-        s, j, real, imag = rows.T
+        if spec._columns is None:  # built from tuples: their values as floats
+            s, j, real, imag = np.array(spec.entries, dtype=float).reshape(len(spec.entries), 4).T
+        else:
+            s, j, real, imag = spec._columns
         ok = ((s == 0) | (s == 1)) & (j >= 0) & (j < n) & (j == np.floor(j))
         ok &= np.isfinite(real) & np.isfinite(imag)
         if not ok.all():
@@ -251,8 +296,8 @@ def parse_state(text: str) -> InitialStateSpec:
             # error, so it names no line of the file: keep what it says is wrong
             detail = str(exc).partition(" at row ")[0]
             raise ValueError(f"raw rows must be s,j,re,im: {detail}") from None
-        columns = (rows[name].tolist() for name in _RAW_ROW.names)
-        return Raw(entries=tuple(zip(*columns)))
+        rows.flags.writeable = False
+        return Raw._from_columns(tuple(rows[name] for name in _RAW_ROW.names))
     raise ValueError(f"unknown initial-state spec {text!r}")
 
 

@@ -201,7 +201,7 @@ def coin_phase_temperature_scan(
         if i == 0:
             rho0 = _scan_densities(gram[0], np.exp(0.5j * np.outer([-1.0, 1.0], [hadamard.xi])))[0]
             check_reduced_density(rho0)
-            t0 = entanglement_temperature(rho0).temperature
+            t0 = float(_temperatures(rho0)[2])
             gram = gram[1:]
         temps.append(_temperatures(_scan_densities(gram, c))[2])
     values = temperature_ratio(np.concatenate(temps), t0)

@@ -22,6 +22,7 @@ from qwcycle import (
     time_avg_reduced_density,
 )
 from qwcycle.cli import _build_parser, _fmt, main
+from qwcycle.thermo import ScanGrid
 from qwcycle.verify import VerifyConfig
 
 
@@ -171,6 +172,102 @@ def test_deterministic_output(capsys):
     _, first = run_cli(args, capsys)
     _, second = run_cli(args, capsys)
     assert first == second
+
+
+def _literal_writer(result, fmt):
+    """The text the CLI wrote for one result through ``csv.writer`` over
+    ``_fmt`` rows or ``json.dumps(indent=2)``, kept literally as the reference
+    for its one-pass CSV."""
+    if isinstance(result, ScanGrid):
+        def token(x):
+            return _fmt(x) if math.isinf(x) else x
+
+        axis1, axis2, values = result.axis1.tolist(), result.axis2.tolist(), result.values.tolist()
+        header = ["axis1", "axis2", "ratio"]
+        rows = ([_fmt(a), _fmt(b), _fmt(v)] for a, vs in zip(axis1, values) for b, v in zip(axis2, vs))
+        payload = {
+            "axis1": result.axis1_name,
+            "axis2": result.axis2_name,
+            "axis1_values": axis1,
+            "axis2_values": axis2,
+            "reference_temperature": token(result.reference_temperature),
+            "ratio": [[token(v) for v in row] for row in values],
+        }
+    elif result.ndim == 1:
+        pi = result.tolist()
+        header = ["v", "pi_v"]
+        rows = ([v, _fmt(p)] for v, p in enumerate(pi))
+        payload = {"n_nodes": len(pi), "pi": pi}
+    else:
+        header = ["row", "col", "re", "im"]
+        cells = [(r, c, result[r, c].real, result[r, c].imag) for r in range(2) for c in range(2)]
+        rows = ([r, c, _fmt(re), _fmt(im)] for r, c, re, im in cells)
+        payload = {"entries": [dict(zip(header, cell)) for cell in cells]}
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
+# one distribution with a signed zero, the least subnormal, a tiny normal and
+# 1/3 (17 significant digits); it sums to exactly 1
+EDGE_PI = np.array([-0.0, 5e-324, 1e-300, 1 / 3, 2 / 3])
+AXES = ["--axis1=0:pi:3", "--axis2=0:2pi:3"]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "args, stub",
+    [
+        pytest.param(["ld", "-N", "2"], None, id="ld-2"),
+        pytest.param(["ld", "-N", "7", "--coin", "u2:0.3,0.2,0.1", "--init", "entangled:3"], None, id="ld-7"),
+        pytest.param(["ld", "-N", "5"], EDGE_PI, id="ld-edge"),
+        pytest.param(["rdcm", "-N", "2"], None, id="rdcm-2"),
+        pytest.param(["rdcm", "-N", "9", "--coin", "diaz:pi/3", "--init", "bloch:1,2@4"], None, id="rdcm-9"),
+        pytest.param(["simulate", "-N", "2", "--tmax", "7"], None, id="simulate-2"),
+        pytest.param(["simulate", "-N", "6", "--tmax", "300", "--reduce"], None, id="reduce-6"),
+        pytest.param(["temp", "-N", "2", *AXES], None, id="bloch-2"),
+        pytest.param(["temp", "-N", "4", "--coin", "diaz:pi/2", *AXES], None, id="bloch-inf-t0"),
+        pytest.param(["temp", "-N", "3", "--coin", "u2:0,0,0", *AXES], None, id="bloch-inf-cells"),
+        pytest.param(
+            ["temp", "-N", "60", "--scan", "phases", "--init", HOTTEST, "--axis1=-pi:pi:3", "--axis2=-pi:pi:3"],
+            None, id="phases-inf-cells",
+        ),
+        pytest.param(
+            ["temp", "-N", "8", "--scan", "phases", "--theta", "0", "--axis1=-pi:pi:4", "--axis2=0:pi:3"],
+            None, id="phases-theta-0",
+        ),
+    ],
+)
+def test_writers_match_csv_writer_and_json_dumps(args, stub, fmt, to_file, tmp_path, monkeypatch, capsys):
+    # every result the CLI computes is recorded on its way to the writer; a
+    # stub stands in for the distribution that no walk gives
+    results = []
+    names = [
+        "limiting_distribution", "asymptotic_reduced_density", "time_avg_distribution",
+        "time_avg_reduced_density", "bloch_temperature_scan", "coin_phase_temperature_scan",
+    ]
+    for name in names:
+        real = getattr(qwcycle.cli, name) if stub is None else lambda *a: stub
+
+        def spy(*a, real=real, **k):
+            results.append(real(*a, **k))
+            return results[-1]
+
+        monkeypatch.setattr(qwcycle.cli, name, spy)
+    target = tmp_path / "out.txt"
+    argv = [*args, "--format", fmt] + (["--out", str(target)] if to_file else [])
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and len(results) == 1
+    if to_file:
+        assert out == ""
+        got = target.read_bytes()
+    else:
+        assert not target.exists()
+        got = out.encode()
+    assert got == _literal_writer(results[0], fmt).encode()
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import warnings
 
@@ -249,6 +250,31 @@ def test_raw_file_repeated_rows_add_in_order(tmp_path, rng):
     assert spec == Raw(entries=_csv_entries(path))
     want = _looped_grid(spec.entries, n)
     assert make_state(spec, n).as_grid().tobytes() == want.tobytes()
+
+
+def test_raw_from_a_file_keeps_the_tuple_contract(tmp_path):
+    # a raw:@FILE Raw holds loadtxt's columns, one built by hand its tuple:
+    # they compare, hash and print alike and give the same grid
+    rows = ((0, 1, 0.5, 0.0), (1, 2, 0.25, -1.0), (0, 1, -0.0, 5e-324), (1, 0, 1 / 3, 1e-300))
+    path = _raw_file(tmp_path, "".join(f"{s},{j},{re!r},{im!r}\n" for s, j, re, im in rows))
+    by_hand = Raw(entries=rows)
+    assert hash(parse_state(f"raw:@{path}")) == hash(by_hand)
+    assert repr(parse_state(f"raw:@{path}")) == repr(by_hand) == f"Raw(entries={rows!r})"
+    read = parse_state(f"raw:@{path}")
+    assert read == by_hand and by_hand == read and len({read, by_hand}) == 1
+    assert read != Raw(entries=rows[:-1]) and read != rows
+    assert read.entries == rows
+    assert [tuple(map(type, row)) for row in read.entries] == [(int, int, float, float)] * 4
+    assert make_state(read, 3).as_grid().tobytes() == make_state(by_hand, 3).as_grid().tobytes()
+    for spec in (by_hand, read):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.entries = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del spec.entries
+        assert spec.entries == rows
+    # nor can the columns behind the tuple change under it
+    with pytest.raises(ValueError, match="read-only"):
+        read._columns[2][0] = 1.0
 
 
 @pytest.mark.parametrize(
