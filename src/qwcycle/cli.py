@@ -100,12 +100,13 @@ def _emit_grid(grid: ScanGrid, args: argparse.Namespace) -> None:
     _emit(args, "axis1,axis2,ratio", columns, payload)
 
 
-def _axis_arg(text: str) -> tuple[float, float, int]:
+def _axis_arg(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"axis must be START:STOP:NUM, got {text!r}")
     try:
-        return parse_angle(parts[0]), parse_angle(parts[1]), int(parts[2])
+        # the resolution stays a float: thermo's _axis holds it to the one rule for counts
+        return parse_angle(parts[0]), parse_angle(parts[1]), float(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -170,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # exit 1 is a verify tolerance breach
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

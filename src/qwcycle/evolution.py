@@ -15,9 +15,10 @@ matmul and one index gather; it is ``evolve``'s kernel and the step-loop route.
 Binary doubling sums U^t rho U^-t over the window exactly on the momentum
 blocks of U^m, with U^m from exact steps while m <= 2N.  The sum is Hermitian
 and the averages read only its wrapped diagonals, so it keeps the diagonals
-d = 0..N/2, in O(N^2 / 2) work per bit of t_max and O(N^2 / 2) memory per
-walk.  It takes nothing from ``spectral``, ``asymptotics`` or
-``state.momentum_spinors``: no eigenvalue and no degeneracy tolerance, only
+d = 0..N/2, in O(N^2 / 2) work per bit of t_max.  It runs them in slabs
+sized to ``DOUBLING_CHUNK_BYTES``, so on any N it needs that much and
+O(N log t_max) per walk.  It takes nothing from ``spectral``,
+``asymptotics`` or ``state.momentum_spinors``: no eigenvalue and no degeneracy tolerance, only
 translation invariance, so it stays independent of the closed forms it checks.
 ``time_avg_distribution``, ``time_avg_reduced_density`` and the verification
 sweep go through ``_window_sums``; the literal ``np.roll`` step and 2N x 2N
@@ -46,27 +47,27 @@ __all__ = [
 ]
 
 
-# The doubling route's whole footprint may not exceed this: 256 (N/2 + 1) N
-# + 896 N + 8 KiB bytes per walk and 8 (N/2 + 1) N + 256 KiB besides
-# (``_doubling_chunk``), so N <= 707 for every t_max.  Larger N steps in O(N)
-# memory whatever t_max.
-DOUBLING_MAX_BYTES = 2**26
-# Each bit passes over a chunk's buffers seven times, so a chunk is kept about
-# the size of a core's L2 cache: at X = 100, N = 64, T = 2000 one 54 MB chunk
-# took 208-226 ms where chunks of two or three walks took 155 ms.
+# The doubling route's one memory rule.  Each bit passes over a chunk's
+# buffers seven times, so a chunk is kept about the size of a core's L2 cache:
+# at X = 100, N = 64, T = 2000 one 54 MB chunk took 208-226 ms where chunks of
+# two or three walks took 155 ms.
 DOUBLING_CHUNK_BYTES = 2**21
 
 
-def _doubling_chunk(n: int) -> int:
-    """How many walks on N nodes the doubling route runs at once: as many as
-    fit ``DOUBLING_CHUNK_BYTES`` (at least one) and ``DOUBLING_MAX_BYTES``;
-    below 1 when not even one fits the latter.  A walk holds its wrapped
-    diagonals and three buffers (16 (N/2 + 1) N complex) and O(N) spinors and
-    temporaries; the lag index and numpy's buffers are shared."""
+def _doubling_chunk(n: int) -> tuple[int, int]:
+    """How the doubling route splits walks on N nodes: (walks, rows).  A walk
+    holds four buffers of 4N complex and an N-entry lag index per wrapped
+    diagonal and O(N) spinors and temporaries; numpy's buffers take 256 KiB.
+    A chunk runs as many whole walks as fit ``DOUBLING_CHUNK_BYTES``.  When
+    not even one fits, one walk runs in slabs of as many diagonals as their
+    buffers alone fit (at least one), as those set the speed; its spinors and
+    the powers W it records for the slabs (6N complex a bit of t_max) come
+    on top."""
     h = n // 2 + 1
-    walk = 16 * (16 * h * n + 56 * n + 512)
-    fits = (DOUBLING_MAX_BYTES - 2**18 - 8 * h * n) // walk
-    return min(fits, max(1, DOUBLING_CHUNK_BYTES // walk))
+    walk = 16 * (56 * n + 512)
+    room = DOUBLING_CHUNK_BYTES - 2**18
+    walks = (room - 8 * h * n) // (walk + 256 * h * n)
+    return max(1, walks), min(h, max(1, room // (264 * n)))
 
 
 def _doubling_is_cheaper(x: int, n: int, steps: int) -> bool:
@@ -76,12 +77,13 @@ def _doubling_is_cheaper(x: int, n: int, steps: int) -> bool:
     bit of t_max (a constant and a + b (N/2 + 1) N per walk, refitted on one
     pinned core for X in {1, 2, 5, 20, 100}, N = 3..600, t_max = 1..2e5) and
     per seed step, counted as min(t_max, 2N); the step loop per step (X up to
-    400, N = 4..400).  Above ``DOUBLING_MAX_BYTES`` it steps.  Doubling vs step loop: 232-257 vs
-    309-360 ms at X = 100, N = 64, T = 2000; 24-31 vs 21-33 ms at X = 1,
-    N = 256, T = 2000, 29-34 vs 210-246 ms at 2e4.
+    400, N = 4..400).  With the diagonals in slabs the fit still orders both
+    routes up to N = 4096.  Doubling vs step loop: 232-257 vs 309-360 ms at
+    X = 100, N = 64, T = 2000; 24-31 vs 21-33 ms at X = 1, N = 256, T = 2000,
+    29-34 vs 210-246 ms at 2e4; 0.31-0.36 vs 3.4-3.6 s at X = 1, N = 1024,
+    T = 2e5; 6.0-7.8 vs 9.0-9.6 s at N = 4096, T = 2e5, 3.8-4.4 s vs 87 ms
+    at T = 2000.
     """
-    if _doubling_chunk(n) < 1:
-        return False
     seed, bits, h = min(steps, 2 * n), steps.bit_length() - 1, n // 2 + 1
     doubling = 113 + bits * (27 + x * (2.0 + 0.044 * h * n)) + x * n * (0.055 * seed + 0.04 * n)
     return doubling <= steps * (7.2 + x * (0.23 + 0.0134 * n))
@@ -174,6 +176,33 @@ def _check_drift(
         )
 
 
+def _powers(
+    coins: NDArray[np.complex128], grids: NDArray[np.complex128], steps: int
+) -> Iterator[tuple[int, NDArray[np.complex128]]]:
+    """Yield m and W = (P | u)[x, s, j, k] of X walks for m = 1 and then for
+    each m = t_max >> bit down to m = t_max: the momentum blocks P = U^m and
+    the stepped state u = U^m psi.  While m <= 2N, W is one FFT of e_{0,0},
+    e_{1,0} and psi stepped exactly by ``_walk``, which steps only as far as
+    the largest such m; past it, W <- P W, then B W on a 1 bit, B = U^1."""
+    c, _, n = grids.shape
+    walkers = np.zeros((c, 3, 2, n), dtype=np.complex128)
+    walkers[:, 0, 0, 0] = walkers[:, 1, 1, 0] = 1.0  # e_{0,0} and e_{1,0}
+    walkers[:, 2] = grids
+    walk = _walk(np.repeat(coins, 3, axis=0), walkers.reshape(3 * c, 2, n), 2 * n)
+    w = step = np.fft.fft(next(walk).reshape(c, 3, 2, n)).swapaxes(1, 2)
+    yield 1, w
+    for bit in range(steps.bit_length() - 2, -1, -1):
+        m = steps >> bit
+        if m <= 2 * n:
+            for _ in range(m - m // 2):
+                amps = next(walk)
+            w = np.fft.fft(amps.reshape(c, 3, 2, n)).swapaxes(1, 2)
+        else:
+            for p in (w[:, :, :2], step[:, :, :2])[: 1 + m % 2]:
+                w = p[:, :, 0, None] * w[:, None, 0] + p[:, :, 1, None] * w[:, None, 1]
+        yield m, w
+
+
 def _doubled_sums(
     coins: NDArray[np.complex128], grids: NDArray[np.complex128], steps: int
 ) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
@@ -183,62 +212,55 @@ def _doubled_sums(
     splits into 2x2 blocks S[k, l].  Only the sums over k of its wrapped
     diagonals are read, and as S is Hermitian those at d > N/2 are the
     conjugates of those at N - d, so D[s, r, d, k] = S[s, k; r, k - d] is
-    kept for d = 0..N/2 alone.  From the top bit of t_max down,
-    S(2m) adds P_k D[d, k] P_(k-d)^dag, P = U^m, and a 1 bit adds
-    u_k u_(k-d)^dag, u = U^(2m+1) psi.  While m <= 2N, W = (P | u) is one
-    FFT of e_{0,0}, e_{1,0} and psi stepped exactly by ``_walk``, which steps
-    only as far as the largest such m; past it, W <- P W, then B W on a 1 bit,
-    B = U^1.  sum_s |a_s(v)|^2 is the inverse real FFT of sum_k D[s, s, d, k],
-    and sum_k D[0, 1, 0, k] the coherence.
+    kept for d = 0..N/2 alone.  D starts at 0 and, along ``_powers``' m,
+    S(2m) adds P_k D[d, k] P_(k-d)^dag and an odd m adds u_k u_(k-d)^dag.
+    Each diagonal's update reads only its own row of D and W, so the rows run
+    in slabs (``_doubling_chunk``): slab 0 holds d = 0, drives ``_powers``
+    and checks the drift, and records W for the other slabs to replay.
+    sum_s |a_s(v)|^2 is the inverse real FFT of sum_k D[s, s, d, k], and
+    sum_k D[0, 1, 0, k] the coherence.
     """
     coins = np.asarray(coins)  # ``_walk`` checks each chunk's coins before its first step
     x, _, n = grids.shape
     h = n // 2 + 1
-    lag = (np.arange(n) - np.arange(h)[:, None]) % n  # k - d at (d, k)
-    chunk = min(x, max(1, _doubling_chunk(n)))
-    probs, coherence = np.empty((x, 2, n)), np.empty(x, dtype=np.complex128)
-    buffers = np.empty((4, chunk * 4 * h * n), dtype=np.complex128)  # D, two buffers, lagged P
-    for lo in range(0, x, chunk):
-        c, part = min(chunk, x - lo), slice(lo, lo + chunk)
-        walkers = np.zeros((c, 3, 2, n), dtype=np.complex128)
-        walkers[:, 0, 0, 0] = walkers[:, 1, 1, 0] = 1.0  # e_{0,0} and e_{1,0}
-        walkers[:, 2] = grids[part]
-        walk = _walk(np.repeat(coins[part], 3, axis=0), walkers.reshape(3 * c, 2, n), 2 * n)
-        w = step = np.fft.fft(next(walk).reshape(c, 3, 2, n)).swapaxes(1, 2)  # (B | u)[x, s, j, k]
-        # take writes in place only into C-contiguous buffers, so each is a flat prefix
-        diag, turned, scratch, lagged = (b[: c * 4 * h * n].reshape(c, 2, 2, h, n) for b in buffers)
-        pairs = diag.reshape(c, 4, h, n)[:, ::3]  # D[s, s] for s = 0, 1
-        lagged_u = buffers[3, : c * 2 * h * n].reshape(c, 2, h, n)
-        u = w[:, :, 2]
-        np.take(u.conj(), lag, axis=-1, out=lagged_u, mode="clip")
-        np.multiply(u[:, :, None, None], lagged_u[:, None], out=diag)  # D(1)[x, s, r, d, k]
-        for bit in range(steps.bit_length() - 2, -1, -1):
-            power, m = w[:, :, :2], steps >> bit
-            # turned[s, a] = sum_b P_k[s, b] D[b, a]
-            # D[s, r] += sum_a turned[s, a] conj(P_(k-d)[r, a])
-            np.take(power.conj(), lag, axis=-1, out=lagged, mode="clip")
-            np.multiply(power[:, :, 0, None, None], diag[:, None, 0], out=turned)
-            np.multiply(power[:, :, 1, None, None], diag[:, None, 1], out=scratch)
-            turned += scratch
-            for a in range(2):
-                np.multiply(turned[:, :, None, a], lagged[:, None, :, a], out=scratch)
-                diag += scratch
-            if m <= 2 * n:  # W from exact steps
-                for _ in range(m - m // 2):
-                    amps = next(walk)
-                w = np.fft.fft(amps.reshape(c, 3, 2, n)).swapaxes(1, 2)
-            else:
-                for p in (power, step[:, :, :2])[: 1 + m % 2]:  # W <- P W, then B W on a 1 bit
-                    w = p[:, :, 0, None] * w[:, None, 0] + p[:, :, 1, None] * w[:, None, 1]
-            if m & 1:
-                u = w[:, :, 2]
-                np.take(u.conj(), lag, axis=-1, out=lagged_u, mode="clip")
-                np.multiply(u[:, :, None, None], lagged_u[:, None], out=scratch)
-                diag += scratch
-            _check_drift(pairs[:, :, 0].real.sum(axis=(1, 2)) / n, m, coins[part], steps)
-        probs[part] = np.fft.irfft(pairs.sum(axis=-1), n=n) / n
-        coherence[part] = diag[:, 0, 1, 0].sum(axis=-1) / n
-    return _averages(probs, coherence, steps)
+    walks, rows = _doubling_chunk(n)
+    sums = np.empty((x, 2, 2, h), dtype=np.complex128)  # sum_k D[s, r, d, k]
+    # D, two buffers and lagged P; take writes in place only into C-contiguous
+    # buffers, so each slab's are flat prefixes
+    buffers = np.empty((4, min(x, walks) * 4 * rows * n), dtype=np.complex128)
+    for lo in range(0, x, walks):
+        c, part, powers = min(walks, x - lo), slice(lo, lo + walks), []
+        for d in range(0, h, rows):
+            r = min(rows, h - d)
+            lag = (np.arange(n) - np.arange(d, d + r)[:, None]) % n  # k - d at (d, k)
+            diag, turned, scratch, lagged = buffers[:, : c * 4 * r * n].reshape(4, c, 2, 2, r, n)
+            pairs = diag.reshape(c, 4, r, n)[:, ::3]  # D[s, s] for s = 0, 1
+            lagged_u = buffers[3, : c * 2 * r * n].reshape(c, 2, r, n)
+            diag[...] = 0.0
+            for m, w in (powers if d else _powers(coins[part], grids[part], steps)):
+                if not d and rows < h:  # the other slabs replay W
+                    powers.append((m, w))
+                if m > 1:  # S(2m') adds P S(m') P^dag, P = U^m' from the last W, m' = m // 2
+                    # turned[s, a] = sum_b P_k[s, b] D[b, a]
+                    # D[s, r] += sum_a turned[s, a] conj(P_(k-d)[r, a])
+                    np.take(power.conj(), lag, axis=-1, out=lagged, mode="clip")
+                    np.multiply(power[:, :, 0, None, None], diag[:, None, 0], out=turned)
+                    np.multiply(power[:, :, 1, None, None], diag[:, None, 1], out=scratch)
+                    turned += scratch
+                    for a in range(2):
+                        np.multiply(turned[:, :, None, a], lagged[:, None, :, a], out=scratch)
+                        diag += scratch
+                power = w[:, :, :2]
+                if m & 1:
+                    u = w[:, :, 2]
+                    np.take(u.conj(), lag, axis=-1, out=lagged_u, mode="clip")
+                    np.multiply(u[:, :, None, None], lagged_u[:, None], out=scratch)
+                    diag += scratch
+                if m > 1 and not d:
+                    _check_drift(pairs[:, :, 0].real.sum(axis=(1, 2)) / n, m, coins[part], steps)
+            sums[part, ..., d : d + r] = diag.sum(axis=-1)
+    probs = np.fft.irfft(sums.reshape(x, 4, h)[:, ::3], n=n) / n  # sums at s = r
+    return _averages(probs, sums[:, 0, 1, 0] / n, steps)
 
 
 def _window_sums(

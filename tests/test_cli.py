@@ -334,10 +334,27 @@ def test_bare_verify_runs_the_default_sweep(monkeypatch, capsys):
         ["temp", "-N", "6", "--scan", "phases", "--coin", "diaz:pi/3"],
         ["temp", "-N", "6", "--coin", "", "--axis1=0:pi:2", "--axis2=0:pi:2"],
         ["rdcm", "-N", "4", "--coin", "u2:0.5,,0.3,0.1"],
+        ["ld", "-N", "10000000000000"],  # a cycle too large to allocate
     ],
 )
 def test_invalid_configuration_exits_2(args, capsys):
+    # exit 1 is kept for a verify tolerance breach; every refusal names itself
     assert main(args) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_cycle_too_large_to_allocate_is_named(capsys):
+    # 291 TiB: past any 47-bit address space, so the allocation fails at once
+    # whatever the machine's overcommit policy; nothing is paged in
+    assert main(["ld", "-N", "10000000000000"]) == 2
+    assert "error: Unable to allocate 291. TiB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resolution", ["2.5", "0", "nan", "inf"])
+def test_axis_resolution_follows_the_rule_for_counts(resolution, capsys):
+    # the one message every count gives, not int()'s parse error
+    assert main(["temp", "-N", "6", f"--axis1=0:pi:{resolution}"]) == 2
+    assert "axis resolution must be a whole number >= 1" in capsys.readouterr().err
 
 
 def test_non_finite_local_spinor_is_named(capsys):

@@ -120,8 +120,8 @@ def test_doubling_checks_the_coins_of_every_chunk(monkeypatch, rng):
     n, x = 4, 5
     h = n // 2 + 1
     cap = 2**18 + 8 * h * n + 2 * 16 * (16 * h * n + 56 * n + 512)
-    monkeypatch.setattr(evolution, "DOUBLING_MAX_BYTES", cap)
-    assert evolution._doubling_chunk(n) == 2
+    monkeypatch.setattr(evolution, "DOUBLING_CHUNK_BYTES", cap)
+    assert evolution._doubling_chunk(n)[0] == 2
     coins = np.repeat(build_coin(hadamard_params())[None], x, axis=0)
     coins[-1] *= 1.01  # only the last chunk's coin leaks norm
     grids = np.stack([random_state(rng, n).as_grid() for _ in range(x)])

@@ -123,3 +123,22 @@ def test_benchmark_surface_resolves():
 def test_traced_surface_resolves():
     for module, name in TRACED_NAMES:
         assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+
+
+def test_no_module_builds_lagged_views():
+    # strided views over a buffer can grow RSS past what numpy traces, so the
+    # kernels gather lagged rows with np.take into buffers they own
+    views = {"as_strided", "sliding_window_view"}
+    for path in sorted(Path(qwcycle.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # any reference counts, a call or not: an alias would hide the call
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            assert not views & names, (path.name, node.lineno)
+            if isinstance(node, ast.Call) and "ndarray" in {
+                getattr(node.func, "attr", None),
+                getattr(node.func, "id", None),
+            }:  # ndarray(shape, dtype, buffer, ...)
+                buffer = len(node.args) > 2 or any(k.arg == "buffer" for k in node.keywords)
+                assert not buffer, (path.name, node.lineno)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ def test_batched_window_sums_match_density_reference(monkeypatch, rng):
         assert np.abs(dist - step_dist).max() <= 1e-13, t
         assert np.abs(rho - step_rho).max() <= 1e-13, t
 
-    # a cap that runs X = 5 walks in chunks of 2, 2 and 1
+    # a chunk size that runs X = 5 walks in chunks of 2, 2 and 1
     n, t, x = 12, 3001, 5
     thetas = (0.9, 0.0, 0.3, math.pi / 2, 1.2)
     coins = np.array([build_coin(CoinParams(th, -0.4, 1.3, 0.2)) for th in thetas])
@@ -110,7 +111,7 @@ def test_batched_window_sums_match_density_reference(monkeypatch, rng):
     # room for the fixed buffers and two walks, not three
     h = n // 2 + 1
     cap = 2**18 + 8 * h * n + 2 * 16 * (16 * h * n + 56 * n + 512)
-    monkeypatch.setattr(evolution, "DOUBLING_MAX_BYTES", cap)
+    monkeypatch.setattr(evolution, "DOUBLING_CHUNK_BYTES", cap)
     chunked = _doubled_sums(coins, grids, t)
     assert walkers == [6, 6, 3]  # each walk steps beside its two unit vectors
     assert np.array_equal(chunked[0], whole[0]) and np.array_equal(chunked[1], whole[1])
@@ -130,12 +131,13 @@ def test_doubling_matches_step_loop_over_long_windows(rng):
 
 
 def test_doubling_runs_past_the_dense_cap(rng):
-    """The wrapped diagonals d = 0..N/2 of the window sum fit N = 600 under
-    the 64 MiB cap, and there too the doubling is the step loop's sum."""
-    n = 600
-    assert evolution._doubling_chunk(n) >= 1
+    """At N = 1024 the wrapped diagonals d = 0..N/2 of one walk run in
+    slabs, which hold the footprint to the slab's buffers and the walk's
+    recorded powers, and there too the doubling is the step loop's sum."""
+    n = 1024
     grids = _random_grid(rng, n)[None]
     coins = build_coin(CoinParams(0.9, -0.4, 1.3, 0.2))[None]
+    assert evolution._doubling_chunk(n)[1] < n // 2 + 1
     for t in (2 * n + 1, 3000):
         tracemalloc.start()
         try:
@@ -143,20 +145,20 @@ def test_doubling_runs_past_the_dense_cap(rng):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= evolution.DOUBLING_MAX_BYTES, (t, peak)
+        assert peak <= 2**23, (t, peak)
         step_dist, step_rho = _stepped_sums(coins, grids, t)
         assert np.abs(dist - step_dist).max() <= 1e-13, t
         assert np.abs(rho - step_rho).max() <= 1e-13, t
 
 
 def test_doubling_footprint_stays_within_the_cap(monkeypatch, rng):
-    # a 2 MiB cap runs 50 walks on 32 nodes in chunks; numpy traces its arrays
+    # 2 MiB chunks run 50 walks on 32 nodes a few at a time; numpy traces its arrays
     cap, n, x = 2**21, 32, 50
-    monkeypatch.setattr(evolution, "DOUBLING_MAX_BYTES", cap)
+    monkeypatch.setattr(evolution, "DOUBLING_CHUNK_BYTES", cap)
     grids = np.stack([_random_grid(rng, n) for _ in range(x)])
     coins = np.broadcast_to(build_coin(CoinParams(0.9, -0.4, 1.3, 0.2)), (x, 2, 2))
     for t in (2 * n, 2001):
-        assert 1 < evolution._doubling_chunk(n) < x
+        assert 1 < evolution._doubling_chunk(n)[0] < x
         tracemalloc.start()
         try:
             _doubled_sums(coins, grids, t)
@@ -164,6 +166,42 @@ def test_doubling_footprint_stays_within_the_cap(monkeypatch, rng):
         finally:
             tracemalloc.stop()
         assert peak <= cap, (t, peak)
+
+
+def test_doubling_in_slabs_of_diagonals_changes_no_bit(monkeypatch, rng):
+    """One walk that does not fit a chunk runs in slabs of diagonals; only
+    slab 0 steps the walk and drives W = (P | u), the others replay it."""
+    n, x = 12, 5
+    thetas = (0.9, 0.0, 0.3, math.pi / 2, 1.2)
+    coins = np.array([build_coin(CoinParams(th, -0.4, 1.3, 0.2)) for th in thetas])
+    grids = np.stack([_random_grid(rng, n) for _ in range(x)])
+    windows = (2 * n, 2 * n + 1, 3001)
+    whole = {t: _doubled_sums(coins, grids, t) for t in windows}
+    walks, rows = evolution._doubling_chunk(n)  # by default one chunk holds every walk and diagonal
+    assert walks >= x and rows == n // 2 + 1
+
+    walkers = []
+
+    def counted(coins, grids, steps):
+        walkers.append(len(grids))
+        return walk(coins, grids, steps)
+
+    walk = evolution._walk
+    monkeypatch.setattr(evolution, "_walk", counted)
+    for rows in (1, 2, 3):
+        # room for the slab's buffers and lag index, not for a whole walk
+        monkeypatch.setattr(evolution, "DOUBLING_CHUNK_BYTES", 2**18 + 264 * n * rows)
+        assert evolution._doubling_chunk(n) == (1, rows)
+        for t in windows:
+            walkers.clear()
+            slabbed = _doubled_sums(coins, grids, t)
+            assert walkers == [3] * x  # each chunk steps once, in slab 0
+            assert np.array_equal(slabbed[0], whole[t][0]) and np.array_equal(slabbed[1], whole[t][1])
+        # the rounded coins' error compounds: slab 0 names it before W <- P W overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"t_max = 10{20} is too long for this coin"):
+                _doubled_sums(coins, grids, 10**20)
 
 
 def test_window_sums_pick_the_cheaper_route(monkeypatch):
@@ -185,7 +223,9 @@ def test_window_sums_pick_the_cheaper_route(monkeypatch):
         (1, 256, 2000): "_stepped_sums",  # 24-31 vs 21-33 ms
         (1, 256, 20_000): "_doubled_sums",  # 29-34 vs 210-246 ms
         (1, 707, 10**9): "_doubled_sums",
-        (1, 708, 10**9): "_stepped_sums",  # over the 64 MiB cap, which holds doubling to N <= 707
+        (1, 1024, 200_000): "_doubled_sums",  # 308-357 vs 3402-3601 ms
+        (1, 4096, 200_000): "_doubled_sums",  # 6034-7835 vs 9015-9624 ms
+        (1, 4096, 2000): "_stepped_sums",  # 3828-4418 vs 87-88 ms
     }
     for x, n, t in cases:
         grids = np.broadcast_to(make_state(Local(0), n).as_grid(), (x, 2, n))
