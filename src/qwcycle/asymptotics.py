@@ -13,12 +13,17 @@ zone i of each block k' that coincides with it, and for any two blocks
 
     sum_+/- P_k^+/- X P_k'^+/- = (X + T_k X T_k') / 2,
 
-so both observables read the rows [psi_k; T_k psi_k] (``_turned``) and no
-per-zone part is formed: the coin density, and through ``_coin_gram`` the
-temperature scans, at k' = k, where the average dephases each block about its
-axis, and the limiting distribution at the coinciding partners k'.
-This evaluates the paper's characteristic-matrix sums over M(k, k') and
-Theta(k, k'), which ``qwcycle.reference`` keeps literally.
+so no per-zone part is formed.  The limiting distribution pairs the
+coinciding partners k' and reads the rows [psi_k; T_k psi_k] (``_turned``).
+The coin density takes k' = k, X = psi_k psi_k^dag = (|psi_k|^2 + v_k.sigma)/2
+with the sector's real Bloch vector v_k, and
+(X + T_k X T_k)/2 = (|psi_k|^2 + (M_k v_k).sigma)/2: the average dephases v_k
+about the axis, M_k = m_k m_k^T, and keeps it whole on a scalar block,
+M_k = 1.  So rho_c = (t + r.sigma)/2 with t = sum_k |psi_k|^2 and
+r = sum_k M_k v_k (``_dephased``), a sum of real 3-vectors, which the
+temperature scans read too.  This evaluates the paper's characteristic-matrix
+sums over M(k, k') and Theta(k, k'), which ``qwcycle.reference`` keeps
+literally.
 """
 
 from __future__ import annotations
@@ -43,30 +48,38 @@ def _turned(spec: Spectrum, psis: NDArray[np.complex128]) -> NDArray[np.complex1
     return np.stack(turned, axis=-1)
 
 
-def _coin_gram(spec: Spectrum, basis: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """G[..., a, b] = sum_{k,i} P_k^i psi_a (P_k^i psi_b)^dag (..., A, A, 2, 2) for
-    spinor sets basis (A, ..., N, 2).  The coin density of the spinors
-    sum_a c_a basis_a is sum_{a,b} c_a conj(c_b) G[a, b]: by Parseval the trace
-    over position keeps only the terms within one block and one zone.
+def _bloch(psis: NDArray[np.complex128]) -> tuple[float, NDArray[np.float64]]:
+    """t = sum_k |psi_k|^2 and the sector Bloch vectors v_k = psi_k^dag sigma psi_k
+    (3, N) of sector spinors psis (2, N): psi_k psi_k^dag = (|psi_k|^2 + v_k.sigma)/2."""
+    cross = 2.0 * psis[0].conj() * psis[1]  # v_x + i v_y
+    pops = psis.real**2 + psis.imag**2
+    return pops.sum(), np.stack([cross.real, cross.imag, pops[0] - pops[1]])
 
-    The two zones sum to G = (1/2) sum_k [psi_a psi_b^dag + (T psi_a)(T psi_b)^dag],
-    so G is one matmul of the rows [psi; T psi] (..., 2N, 2A), built in one
-    buffer, with their adjoint.
-    """
-    n, n_basis = basis.shape[-2], basis.shape[0]
-    lead = np.broadcast_shapes(basis.shape[1:-2], spec.scalar.shape[:-1])
-    rows = np.empty(lead + (2, n, n_basis, 2), dtype=np.complex128)  # (..., [psi; T psi], k, a, c)
-    rows[..., 0, :, :, :] = np.moveaxis(basis, 0, -2)
-    rows[..., 1, :, :, :] = np.moveaxis(_turned(spec, basis), 0, -2)
-    rows = rows.reshape(lead + (2 * n, 2 * n_basis))
-    gram = 0.5 * np.matmul(rows.swapaxes(-1, -2), rows.conj())
-    return gram.reshape(lead + (n_basis, 2, n_basis, 2)).swapaxes(-3, -2)
+
+def _dephased(spec: Spectrum, v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """sum_k M_k v_k (S + (F, 3)) of real Bloch-vector fields v (F, 3, N) over the
+    blocks of a spectrum of shape S: M_k = m_k m_k^T keeps the part of v_k along
+    the axis, and M_k = 1 keeps all of it on a scalar block (axis zero)."""
+    m = spec.axes
+    along = m[..., None, :, 0] * v[:, 0]
+    along += m[..., None, :, 1] * v[:, 1]
+    along += m[..., None, :, 2] * v[:, 2]  # m_k . v_k, S + (F, N)
+    kept = v.reshape(-1, v.shape[-1]) @ spec.scalar[..., None]  # S + (3F, 1)
+    return along @ m + kept.reshape(along.shape[:-1] + (3,))
+
+
+def _coin_density(t, r) -> NDArray[np.complex128]:
+    """(t + r.sigma)/2 for a real trace t and Bloch vector r (3,): Hermitian by
+    construction, with a real diagonal."""
+    return 0.5 * np.array([[t + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], t - r[2]]])
 
 
 def asymptotic_reduced_density(state0: WalkState, coin: CoinParams) -> NDArray[np.complex128]:
-    """Infinite-time-averaged coin density matrix rho_c = sum_k Theta(k, k)."""
+    """Infinite-time-averaged coin density matrix rho_c = sum_k Theta(k, k) =
+    (t + r.sigma)/2, with t = sum_k |psi_k|^2 and r = sum_k M_k v_k."""
     spec = spectrum(state0.n_nodes, coin.theta, coin.zeta, coin.xi)
-    rho = _coin_gram(spec, momentum_spinors(state0).T[None])[0, 0]
+    t, v = _bloch(momentum_spinors(state0))
+    rho = _coin_density(t, _dephased(spec, v[None])[0])
     check_reduced_density(rho)
     return rho
 

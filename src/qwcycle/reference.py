@@ -1,10 +1,11 @@
 """The paper's literal constructions, kept as references for the tests.
 
 The closed forms compute all of this from one array spectrum
-(``spectral.spectrum``) and one dephasing per block
-(``asymptotics._turned``), and never import this module.  Per block:
-``block`` is B_k, ``solve_block`` its eigendecomposition and
-``degeneracy_table`` the k + k' = N zeta / pi (mod N) pairing.
+(``spectral.spectrum``) and one dephasing per block (``asymptotics._turned``
+on spinors, ``asymptotics._dephased`` on Bloch vectors), and never import
+this module.  Per block: ``block`` is B_k, ``solve_block`` its
+eigendecomposition and ``degeneracy_table`` the k + k' = N zeta / pi (mod N)
+pairing.
 
 Time-averaging keeps only the pairings of eigenvectors with equal
 eigenvalues.  Between momentum sectors k and k' they are collected by the 4x4

@@ -20,21 +20,27 @@ Two scan drivers map the temperature landscape:
     under the Hadamard coin (the scan measures what the extra phases do, so
     its natural baseline is the phase choice the Hadamard coin makes).
 
-Both scans solve ``spectral.spectrum`` into the coin Gram matrix G of two
-spinors (``asymptotics._coin_gram``); each grid point is one pair c of their
-coefficients, with coin density sum_{a,b} c_a conj(c_b) G[a, b].  One
-contraction forms all of them as a stack of 2x2 matrices, and one formula,
-``_temperatures``, reads every temperature of this module off such a stack.
-The phase scan solves only xi = 0, because xi is a gauge:
+A coin density is (t + r.sigma)/2 with trace t and real Bloch vector r, and
+its eigenvalues are (t +/- |r|)/2, so one formula, ``_temperatures``, reads
+every temperature of this module off (t, |r|).  Time-averaging keeps r =
+sum_k M_k v_k of the sector Bloch vectors v_k (``asymptotics._dephased``), and
+both scans are that one linear map on real 3-vectors: no grid point forms a
+spinor or a 2x2 matrix.  A local state has v_k = b / N in every sector, so
+the Bloch scan is the one 3x3 matrix (1/N) sum_k M_k applied to the grid's
+Bloch vectors b(gamma, phi), formed from the trig of the two axes.  The phase
+scan solves only xi = 0, because xi is a gauge:
 D = diag(e^{i xi/2}, e^{-i xi/2}) commutes with the shift and
 Gamma(theta, zeta, xi) = D Gamma(theta, zeta, 0) D^dag, so rho_c(xi; psi) =
-D rho_c(0; D^dag psi) D^dag has the eigenvalues of rho_c(0; D^dag psi).  Its
-T0 is row 0 of its own spectrum: the Hadamard coin (pi/4, pi/2, pi/2) is the
-row (theta, zeta) = (pi/4, pi/2) at xi = 0 with c = D(pi/2)^dag (1, 1), and
-its density is checked before its temperature is read.  The scan takes one
-spectrum per chunk of at most ``_SCAN_SECTORS`` (zeta, k) sectors, T0's row
-counted in the first, and a chunk holds at least one row of N sectors, so a
-spectrum spans at most max(``_SCAN_SECTORS``, N) sectors.
+D rho_c(0; D^dag psi) D^dag has the eigenvalues of rho_c(0; D^dag psi), and
+D(xi)^dag turns every v_k about z by xi.  So each zeta row dephases three
+fields, the in-plane part of v, its quarter turn and its z part, into A, B
+and C, and r(zeta, xi) = cos xi A + sin xi B + C.  Its T0 is row 0 of its own
+spectrum: the Hadamard coin (pi/4, pi/2, pi/2) is the row
+(theta, zeta) = (pi/4, pi/2) at xi = pi/2, and its 2x2 density is built and
+checked before its temperature is read.  The scan takes one spectrum per
+chunk of at most ``_SCAN_SECTORS`` (zeta, k) sectors, T0's row counted in the
+first, and a chunk holds at least one row of N sectors, so a spectrum spans
+at most max(``_SCAN_SECTORS``, N) sectors.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .angles import canonicalize
-from .asymptotics import _coin_gram
+from .asymptotics import _bloch, _coin_density, _dephased
 from .coin import CoinParams, hadamard_params
 from .evolution import _eigenvalues, check_reduced_density
 from .spectral import spectrum
@@ -67,8 +73,8 @@ _MIXED_GAP_TOL = 1e-13
 # lambda2 at or below this means "pure": T = 0.
 _PURE_TOL = 1e-14
 # The phase scan solves at most this many (zeta, k) sectors per spectrum, or
-# one row of N past N = 2^16: traced, it peaks near 300 bytes per sector of a
-# chunk, of which spectrum peaks at 92 and keeps 33.
+# one row of N past N = 2^16: traced, it peaks near 90 bytes per sector of a
+# chunk, the 33 that spectrum keeps (it peaks at 58) and 48 of dephasing.
 _SCAN_SECTORS = 2**16
 
 
@@ -81,28 +87,33 @@ class TemperatureResult:
     temperature: float
 
 
-def _temperatures(rho) -> tuple[NDArray[np.float64], ...]:
-    """lambda1 >= lambda2 and T = 2 / ln(lambda1/lambda2) (units of E0) of the
-    Hermitian 2x2 matrices rho (..., 2, 2), from ``evolution._eigenvalues``, the
-    closed form the density checks read too."""
-    l1, l2 = _eigenvalues(rho)
-    l2 = np.maximum(l2, 0.0)
+def _temperatures(t, r) -> tuple[NDArray[np.float64], ...]:
+    """lambda1 >= lambda2 and T = 2 / ln(lambda1/lambda2) (units of E0) of coin
+    densities (t + r.sigma)/2 from their traces t and Bloch lengths r = |r|:
+    the eigenvalues are (t +/- r)/2."""
+    l1, l2 = 0.5 * (t + r), np.maximum(0.5 * (t - r), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        temp = 2.0 / np.log(l1 / l2)
-    return l1, l2, np.select([l1 - l2 <= _MIXED_GAP_TOL, l2 <= _PURE_TOL], [math.inf, 0.0], temp)
+        temp = np.where(l2 <= _PURE_TOL, 0.0, 2.0 / np.log(l1 / l2))
+    return l1, l2, np.where(l1 - l2 <= _MIXED_GAP_TOL, math.inf, temp)
 
 
-def _scan_densities(gram, c) -> NDArray[np.complex128]:
-    """The coin densities sum_{a,b} c_a conj(c_b) G[a, b] (..., P, 2, 2) of Gram
-    matrices G (..., 2, 2, 2, 2) of two spinors, one per column of c (2, P)."""
-    rho = np.tensordot(gram, c[:, None] * c.conj(), axes=([-4, -3], [0, 1]))
-    return np.moveaxis(rho, -1, -3)
+def _swept(a, b, c, angles) -> NDArray[np.float64]:
+    """The Bloch vectors a cos x + b sin x + c (3, R, X) of vector rows a, b and
+    c (R, 3) over angles x (X,)."""
+    cos_x, sin_x = np.cos(angles), np.sin(angles)
+    return a.T[..., None] * cos_x + b.T[..., None] * sin_x + c.T[..., None]
+
+
+def _length(r) -> NDArray[np.float64]:
+    """|r| of Bloch vectors r (3, ...)."""
+    return np.sqrt(np.square(r).sum(axis=0))
 
 
 def entanglement_temperature(rho_c: NDArray[np.complex128]) -> TemperatureResult:
     """Temperature of a 2x2 coin density matrix; T = 2 / ln(l1/l2) in units of E0."""
     check_reduced_density(rho_c, tol=1e-8)
-    l1, l2, temp = _temperatures(np.asarray(rho_c))
+    l1, l2 = _eigenvalues(np.asarray(rho_c))
+    l1, l2, temp = _temperatures(l1 + l2, l1 - l2)
     return TemperatureResult(lambda1=float(l1), lambda2=float(l2), temperature=float(temp))
 
 
@@ -148,16 +159,17 @@ def bloch_temperature_scan(
     n = _whole(n_nodes, 2, "n_nodes")
     gammas, phis = _axis(gamma_axis), _axis(phi_axis)
 
-    # a local state at node 0 has psi_k = chi / sqrt(N) in every sector: chi on
-    # the basis e_a / sqrt(N); the reference (pi, 0) rides along as point 0
-    g = np.concatenate([[math.pi], np.repeat(gammas, phis.size)])
-    phase = np.concatenate([[1.0], np.tile(np.exp(1j * phis), gammas.size)])  # e^{i phi}
-    chi = np.stack([np.cos(g / 2), phase * np.sin(g / 2)])
-    basis = np.broadcast_to(np.eye(2)[:, None] / math.sqrt(n), (2, n, 2))
-    gram = _coin_gram(spectrum(n, coin.theta, coin.zeta, coin.xi), basis)
-    temps = _temperatures(_scan_densities(gram, chi))[2]
-    values = temperature_ratio(temps[1:], temps[0]).reshape(gammas.size, phis.size)
-    return ScanGrid("gamma", "phi", gammas, phis, values, reference_temperature=float(temps[0]))
+    # a local state has v_k = b / N in every sector, b = (sin g cos p, sin g sin p,
+    # cos g), so r = M b with M = (1/N) sum_k M_k; row f of mean is M e_f, and
+    # the reference (pi, 0) rides along as row and column 0
+    spec = spectrum(n, coin.theta, coin.zeta, coin.xi)
+    mean = _dephased(spec, np.eye(3)[..., None].repeat(n, axis=-1) / n)
+    g, p = np.concatenate([[math.pi], gammas]), np.concatenate([[0.0], phis])
+    sin_g = np.sin(g)[:, None]
+    r = _swept(sin_g * mean[0], sin_g * mean[1], np.cos(g)[:, None] * mean[2], p)
+    temps = _temperatures(1.0, _length(r))[2]  # a local coin spinor has unit norm
+    values = temperature_ratio(temps[1:, 1:], temps[0, 0])
+    return ScanGrid("gamma", "phi", gammas, phis, values, reference_temperature=float(temps[0, 0]))
 
 
 def coin_phase_temperature_scan(
@@ -184,10 +196,11 @@ def coin_phase_temperature_scan(
         raise ValueError(f"state lives on N={state.n_nodes}, not N={n}")
     zetas, xis = _axis(zeta_axis), _axis(xi_axis)
 
-    # D(xi)^dag psi_k = sum_a c_a psi_{k,a} e_a with c = D(xi)^dag (1, 1)
-    psis = momentum_spinors(state)  # (2, N); independent of the coin
-    basis = psis[:, None, :, None] * np.eye(2)[:, None, None]
-    c = np.exp(0.5j * np.outer([-1.0, 1.0], xis))
+    # D(xi)^dag turns every v_k about z by xi: v -> cos xi p + sin xi q + z, with
+    # p the in-plane part of v, q its quarter turn and z its z part
+    t, v = _bloch(momentum_spinors(state))  # independent of the coin
+    fields = np.zeros((3, 3, n))  # p, q, z
+    fields[0, :2], fields[1, :2], fields[2, 2] = v[:2], (-v[1], v[0]), v[2]
     # row 0 is T0's: the Hadamard coin, (theta, zeta) at xi = 0 under the gauge;
     # the rest hold the angles CoinParams would, so zeta = pi is the coin at -pi
     hadamard = hadamard_params()
@@ -195,14 +208,15 @@ def coin_phase_temperature_scan(
     thetas[0] = hadamard.theta
     wrapped = np.array([hadamard.zeta] + [canonicalize(z) for z in zetas])
     rows = max(1, _SCAN_SECTORS // n)
-    temps = []
+    lengths = []
     for i in range(0, wrapped.size, rows):
-        gram = _coin_gram(spectrum(n, thetas[i : i + rows], wrapped[i : i + rows], 0.0), basis)
+        spec = spectrum(n, thetas[i : i + rows], wrapped[i : i + rows], 0.0)
+        a, b, c = _dephased(spec, fields).swapaxes(0, 1)  # A, B, C of each row
         if i == 0:
-            rho0 = _scan_densities(gram[0], np.exp(0.5j * np.outer([-1.0, 1.0], [hadamard.xi])))[0]
-            check_reduced_density(rho0)
-            t0 = float(_temperatures(rho0)[2])
-            gram = gram[1:]
-        temps.append(_temperatures(_scan_densities(gram, c))[2])
-    values = temperature_ratio(np.concatenate(temps), t0)
+            r0 = _swept(a[:1], b[:1], c[:1], [hadamard.xi])[:, 0, 0]
+            check_reduced_density(_coin_density(t, r0))
+            t0 = float(_temperatures(t, _length(r0))[2])
+            a, b, c = a[1:], b[1:], c[1:]
+        lengths.append(_length(_swept(a, b, c, xis)))
+    values = temperature_ratio(_temperatures(t, np.concatenate(lengths))[2], t0)
     return ScanGrid("zeta", "xi", zetas, xis, values, reference_temperature=t0)

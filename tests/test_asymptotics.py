@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwcycle import asymptotics
-from qwcycle.asymptotics import _coin_gram, asymptotic_reduced_density, limiting_distribution
+from qwcycle.asymptotics import (
+    _bloch,
+    _dephased,
+    asymptotic_reduced_density,
+    limiting_distribution,
+)
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
 from qwcycle.evolution import evolve, time_avg_distribution, time_avg_reduced_density
 from qwcycle.reference import (
@@ -115,6 +120,45 @@ def test_reduced_density_is_valid_and_matches_oracle(rng):
     assert np.abs(rho - oracle).max() < 5e-3
 
 
+def test_reduced_density_is_exactly_hermitian(rng):
+    # rho_c = (t + r.sigma)/2 from a real t and a real r: conjugate off-diagonals
+    # and a real diagonal bit for bit, on grid coins (scalar blocks at theta = 0)
+    # and off it
+    for n in (2, 3, 8, 64, 512):
+        for theta in (0.0, 1e-11, 0.7, math.pi / 2):
+            for zeta in (2 * math.pi / n, rng.uniform(-math.pi, math.pi)):
+                coin = CoinParams(theta, zeta, rng.uniform(-math.pi, math.pi))
+                rho = asymptotic_reduced_density(random_state(rng, n), coin)
+                assert np.array_equal(rho, rho.conj().T), (n, theta, zeta)
+                assert np.array_equal(rho.diagonal().imag, np.zeros(2)), (n, theta, zeta)
+
+
+def _line_walk_gap(rng):
+    # a local |0> has v_k = e_z / N in every sector and no block is scalar at
+    # |sin theta| >= 0.05, so rho_c[0, 0] = (1 + <m_3^2>)/2 over the N-point
+    # trapezoid rule of the line walk's <m_3^2> = 1 - |sin theta|, for every
+    # zeta and xi: no oracle is involved
+    gap = 0.0
+    for n in (1001, 2**17 + 1):
+        for theta in (0.0501, 0.7, -1.2, math.pi / 2, 3.09):
+            for zeta in (4 * math.pi / n, rng.uniform(-math.pi, math.pi)):
+                coin = CoinParams(theta, zeta, rng.uniform(-math.pi, math.pi))
+                rho = asymptotic_reduced_density(make_state(Local(int(rng.integers(n))), n), coin)
+                gap = max(gap, abs(rho[0, 0] - (1 - abs(math.sin(theta)) / 2)))
+    return gap
+
+
+def test_reduced_density_of_a_local_state_is_the_line_walk(monkeypatch, rng):
+    assert _line_walk_gap(rng) <= 1e-14
+    # a kernel that keeps every v_k whole (M_k = 1, no dephasing) reads rho_c[0, 0] = 1
+    monkeypatch.setattr(
+        asymptotics,
+        "_dephased",
+        lambda spec, v: np.broadcast_to(v.sum(axis=-1), spec.scalar.shape[:-1] + v.shape[:-1]),
+    )
+    assert _line_walk_gap(rng) > 0.02
+
+
 def test_limiting_distribution_uniform_without_degeneracy():
     # odd cycle under Hadamard: no pairing, exactly uniform
     for n in (3, 5, 9):
@@ -155,32 +199,36 @@ def test_generic_coin_returns_uniform_before_the_parts(monkeypatch, rng):
     ],
 )
 def test_coin_gram_matches_literal_zone_sum(rng, n, theta, zeta):
-    # the one-product Gram against sum_{k,i} p_k^i p_k^i^dag over both zones,
-    # p_k^+/- = (1 +/- m_k.sigma) psi_k / 2 and a scalar block's psi_k whole in
-    # zone 0; zeta = 3.0 stands for 2 pi / N, which puts zeta - w on 0 at k = 1
+    # the dephasing kernel against the coin Gram sum sum_{k,i} p_k^i p_k^i^dag
+    # over both zones, p_k^+/- = (1 +/- m_k.sigma) psi_k / 2 and a scalar
+    # block's psi_k whole in zone 0, read as a Bloch vector tr(sigma G); zeta =
+    # 3.0 stands for 2 pi / N, which puts zeta - w on 0 at k = 1
     if zeta >= 3.0:
         zeta = 2 * math.pi / n + (zeta - 3.0)
-    spinors = momentum_spinors(random_state(rng, n)).T
+    spinors = momentum_spinors(random_state(rng, n))
     zetas = np.concatenate([[zeta, zeta + math.pi, -math.pi], np.linspace(-3.0, 3.0, 5)])
     one = spectrum(n, theta, zeta, -1.1)
-    bases = [
+    local = np.array([[1, 1], [1, 1j], [math.sqrt(2), 0]]) / math.sqrt(2 * n)
+    gauge = np.exp(0.5j * np.outer([0.0, 1.3, math.pi / 2], [-1.0, 1.0]))  # D(xi)^dag
+    families = [
         (one, spinors[None]),  # one state (rdcm)
-        (one, np.broadcast_to(np.eye(2)[:, None] / math.sqrt(n), (2, n, 2))),  # Bloch scan
-        # phase scan: a leading zeta axis
-        (spectrum(n, theta, zetas, 0.0), spinors[None, None] * np.eye(2)[:, None, None]),
+        (one, np.repeat(local[..., None], n, axis=-1)),  # the Bloch scan's x, y and z
+        # phase scan: a leading zeta axis, and the state under three gauges
+        (spectrum(n, theta, zetas, 0.0), gauge[..., None] * spinors),
     ]
     pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     whole = np.stack([np.eye(2), np.zeros((2, 2))])
-    for spec, basis in bases:
+    for spec, psis in families:
         turn = np.einsum("...ka,abc->...kbc", spec.axes, pauli)[..., None, :, :]
         # (..., k, zone, 2, 2)
         proj = 0.5 * (np.eye(2) + np.array([1.0, -1.0])[:, None, None] * turn)
         proj = np.where(spec.scalar[..., None, None, None], whole, proj)
-        parts = (proj @ basis[..., None, :, None])[..., 0]  # (a, ..., k, zone, comp)
-        literal = np.einsum("a...kic,b...kid->...abcd", parts, parts.conj())
-        gram = _coin_gram(spec, basis)
-        assert gram.shape == literal.shape
-        assert np.abs(gram - literal).max() <= 1e-15
+        # (..., field, k, zone, comp)
+        parts = (proj[..., None, :, :, :, :] @ psis.swapaxes(-1, -2)[:, :, None, :, None])[..., 0]
+        literal = np.einsum("...kic,...kid,jdc->...j", parts, parts.conj(), pauli)
+        dephased = _dephased(spec, np.stack([_bloch(p)[1] for p in psis]))
+        assert dephased.shape == literal.shape
+        assert np.abs(dephased - literal).max() <= 1e-15
 
 
 def test_off_grid_coin_is_uniform_without_a_spectrum(monkeypatch, rng):

@@ -10,7 +10,9 @@ from qwcycle.coin import CoinParams, hadamard_params
 from qwcycle.asymptotics import asymptotic_reduced_density
 from qwcycle.spectral import spectrum
 from qwcycle.state import Bloch, Local, WalkState, make_state
+from qwcycle.evolution import _eigenvalues
 from qwcycle.thermo import (
+    _length,
     _temperatures,
     bloch_temperature_scan,
     coin_phase_temperature_scan,
@@ -52,7 +54,7 @@ def test_temperature_input_validation():
             entanglement_temperature(np.diag(diag))
 
 
-def test_temperatures_of_a_stack_match_per_matrix(rng):
+def _density_stack(rng):
     # I/2 (inf), a pure state (0), near-pure ones on both sides of _PURE_TOL,
     # and random densities, in one (K, 2, 2) stack
     v = np.array([0.6, 0.8j])
@@ -60,13 +62,33 @@ def test_temperatures_of_a_stack_match_per_matrix(rng):
     dense = z @ z.conj().swapaxes(1, 2)
     dense /= np.trace(dense, axis1=1, axis2=2).real[:, None, None]
     special = [np.eye(2) / 2, np.outer(v, v.conj()), np.diag([1 - 1e-15, 1e-15])]
-    stack = np.concatenate([special, [np.diag([1 - 1e-12, 1e-12])], dense])
-    l1, l2, temps = _temperatures(stack)
+    return np.concatenate([special, [np.diag([1 - 1e-12, 1e-12])], dense])
+
+
+def test_temperatures_of_a_stack_match_per_matrix(rng):
+    stack = _density_stack(rng)
+    l1, l2 = _eigenvalues(stack)
+    l1, l2, temps = _temperatures(l1 + l2, l1 - l2)
     assert temps[0] == math.inf and temps[1] == 0.0 and temps[2] == 0.0
     assert 0.0 < temps[3] < 0.1
     for k, rho in enumerate(stack):
         res = entanglement_temperature(rho)
         assert (res.lambda1, res.lambda2, res.temperature) == (l1[k], l2[k], temps[k])
+
+
+def test_temperatures_from_bloch_length_match_per_matrix(rng):
+    # the scans' route: trace t and Bloch length |r| of (t + r.sigma)/2, with r
+    # read off the matrix as tr(sigma rho)
+    stack = _density_stack(rng)
+    off = stack[:, 1, 0]
+    r = np.stack([2 * off.real, 2 * off.imag, (stack[:, 0, 0] - stack[:, 1, 1]).real])
+    temps = _temperatures(np.trace(stack, axis1=1, axis2=2).real, _length(r))[2]
+    for k, rho in enumerate(stack):
+        want = entanglement_temperature(rho).temperature
+        if want in (0.0, math.inf):
+            assert temps[k] == want, k
+        else:
+            assert abs(temps[k] - want) <= 1e-13 * want, (k, temps[k], want)
 
 
 def test_ratio_semantics():
@@ -153,19 +175,32 @@ def test_scans_take_one_spectrum(monkeypatch):
     assert chunked.reference_temperature == whole.reference_temperature
 
 
-def test_phase_scan_memory_is_bounded(monkeypatch):
-    # 41 rows at N = 4096 are three chunks of _SCAN_SECTORS (zeta, k) sectors,
-    # traced near 19 MiB; one spectrum over every row peaks near 47 MiB
-    args = 0.6, Local(0, 0.6, 0.8), 4096, (-math.pi, math.pi, 41), (-math.pi, math.pi, 21)
+# 41 rows at N = 4096 are three chunks of _SCAN_SECTORS (zeta, k) sectors
+MEMORY_SCAN = 0.6, Local(0, 0.6, 0.8), 4096, (-math.pi, math.pi, 41), (-math.pi, math.pi, 21)
+
+
+def _traced_phase_scan():
     tracemalloc.start()
     try:
-        grid = coin_phase_temperature_scan(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        grid = coin_phase_temperature_scan(*MEMORY_SCAN)
+        return grid, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_phase_scan_memory_is_bounded(monkeypatch):
+    # traced near 5.7 MiB; one spectrum over every row peaks near 14 MiB
+    grid, peak = _traced_phase_scan()
     assert peak <= 32 * 2**20, peak
     monkeypatch.setattr("qwcycle.thermo._SCAN_SECTORS", 41 * 4096)
-    assert np.array_equal(grid.values, coin_phase_temperature_scan(*args).values)
+    assert np.array_equal(grid.values, coin_phase_temperature_scan(*MEMORY_SCAN).values)
+
+
+def test_phase_scan_reads_real_bloch_vectors():
+    # a chunk holds its spectrum and dephases three real 3-vector fields, near
+    # 90 bytes a sector: traced near 5.7 MiB
+    peak = _traced_phase_scan()[1]
+    assert peak <= 8 * 2**20, peak
 
 
 def test_bloch_scan_reference_point_is_one():
