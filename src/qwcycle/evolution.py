@@ -25,8 +25,9 @@ sweep go through ``_window_sums``; the literal ``np.roll`` step and 2N x 2N
 average both routes are pinned to live in ``qwcycle.reference``.
 
 Every density the program checks is a 2x2 coin density, so the invariant
-checks read its two eigenvalues off one closed form, ``_eigenvalues``, the
-formula ``thermo`` reads every temperature from.
+checks read its two eigenvalues off one closed form, ``_eigenvalues``.
+``thermo.entanglement_temperature`` reads its eigenvalues there too; the
+Bloch and phase scans read theirs as (t +/- |r|)/2 in ``thermo._temperatures``.
 """
 
 from __future__ import annotations

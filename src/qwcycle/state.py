@@ -4,16 +4,19 @@ A state lives on coin (x) position space.  Amplitudes are stored as a flat
 complex vector of length 2N indexed (s, j) -> s*N + j, with s in {0, 1} the
 chirality and j in {0..N-1} the node.  ``as_grid()`` exposes the same buffer
 as a (2, N) view, which is the shape every numerical kernel works with.
+
+The initial-state specs (``Local``, ``Bloch``, ``EntangledPair``,
+``SeparablePair``, ``Raw``) are frozen dataclasses; ``parse_state`` reads
+one from the CLI mini-language and ``make_state`` builds its WalkState.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import io
 import math
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -126,53 +129,28 @@ class SeparablePair:
     p: int
 
 
+@dataclass(frozen=True)
 class Raw:
     """Explicit amplitude rows (s, j, re, im); rows that repeat an (s, j) add
     in order, and the state is normalized on build.
 
-    ``Raw(entries=((s, j, re, im), ...))`` holds the tuple it is given.  A
+    A frozen dataclass of one field, ``entries``, like the other specs.  A
     ``raw:@FILE`` state from ``parse_state`` holds instead the four read-only
-    columns that ``np.loadtxt`` read (integer s and j, float re and im), and
-    ``make_state`` scatters them as they are, with no Python object per row.
-    Either way ``entries`` reads the rows as a tuple of (s, j, re, im), built
-    from the columns on first use, and a Raw compares, hashes and prints by
-    that tuple, as a frozen dataclass of that one field does.  Assigning an
-    attribute raises ``dataclasses.FrozenInstanceError``.
+    columns that ``np.loadtxt`` read (integer s and j, float re and im) in
+    ``_columns``, and ``make_state`` scatters them as they are, with no Python
+    object per row; ``entries`` is built from them on first read.
     """
 
-    __match_args__ = ("entries",)
+    entries: tuple[tuple[int, int, float, float], ...]
+    _columns = None  # not a field: the (s, j, re, im) columns of a raw:@FILE
 
-    def __init__(self, entries: tuple[tuple[int, int, float, float], ...]) -> None:
-        object.__setattr__(self, "entries", entries)  # shadows the cached property
-        object.__setattr__(self, "_columns", None)
-
-    @classmethod
-    def _from_columns(cls, columns: tuple[NDArray, ...]) -> Raw:
-        """A Raw over the read-only columns s, j, re, im of a raw:@FILE."""
-        raw = cls.__new__(cls)
-        object.__setattr__(raw, "_columns", columns)
-        return raw
-
-    @functools.cached_property
-    def entries(self) -> tuple[tuple[int, int, float, float], ...]:
-        return tuple(zip(*(column.tolist() for column in self._columns)))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.entries,) == (other.entries,)
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(entries={self.entries!r})"
+    def __getattr__(self, name: str) -> object:
+        # Python calls this only for a name the instance lacks: once stored,
+        # entries is read from the instance without it
+        if name != "entries" or self._columns is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "entries", tuple(zip(*(c.tolist() for c in self._columns))))
+        return self.entries
 
 
 InitialStateSpec = Union[Local, Bloch, EntangledPair, SeparablePair, Raw]
@@ -297,7 +275,9 @@ def parse_state(text: str) -> InitialStateSpec:
             detail = str(exc).partition(" at row ")[0]
             raise ValueError(f"raw rows must be s,j,re,im: {detail}") from None
         rows.flags.writeable = False
-        return Raw._from_columns(tuple(rows[name] for name in _RAW_ROW.names))
+        raw = Raw.__new__(Raw)
+        object.__setattr__(raw, "_columns", tuple(rows[name] for name in _RAW_ROW.names))
+        return raw
     raise ValueError(f"unknown initial-state spec {text!r}")
 
 

@@ -256,9 +256,12 @@ def test_limiting_distribution_matches_oracle_with_degeneracy(rng):
 
 
 def test_hadamard_local_closed_form_even_cycles():
-    for n in (4, 6, 8, 10, 60):
+    for n in (4, 6, 8, 10, 60, 2**16, 2**16 + 2):
         ld = limiting_distribution(make_state(Local(0), n), hadamard_params())
         assert np.abs(ld - hadamard_local_ld(n)).max() < 1e-12
+        # each entry is ~1/N, which the gate above holds only to ~7e-8 of
+        # its scale at N = 2^16; a uniform 1/N reads ~0.41 on this one
+        assert n * np.abs(ld - hadamard_local_ld(n)).max() <= 1e-14
 
 
 def test_hadamard_closed_form_translates_with_origin():

@@ -310,6 +310,7 @@ def test_bare_verify_runs_the_default_sweep(monkeypatch, capsys):
         ["rdcm", "-N", "6", "--init", "local:17"],
         ["simulate", "-N", "4", "--tmax", "0"],
         ["temp", "-N", "6", "--axis1", "0:pi"],
+        ["temp", "-N", "6", "--axis1", "0:foo:3"],
         ["ld"],
         ["verify", "--n-min", "3", "--n-max", "3", "--coins", "2", "--states", "1", "--tmax", "0"],
         ["verify", "--n-min", "3", "--n-max", "3", "--coins", "0"],

@@ -115,6 +115,17 @@ def test_evolve_rejects_non_unitary_coin():
                 route(coin[None], s.as_grid()[None], 2_000)
 
 
+def test_evolve_renormalizes_drift_to_1e_9_and_raises_past_it():
+    # a coin off unitary by 4e-11 passes the 1e-10 gate, and its norm grows
+    # by 2e-11 a step: 2e-10 after 10 steps is stripped, 2e-9 after 100 raises
+    coin = build_coin(hadamard_params())
+    s = make_state(Local(0), 4)
+    out = evolve(s, (1 + 2e-11) * coin, 10)
+    assert np.abs(out.as_grid() - evolve(s, coin, 10).as_grid()).max() < 1e-15
+    with pytest.raises(ValueError, match=r"evolution lost unitarity: \|norm - 1\| = 2\.000e-09"):
+        evolve(s, (1 + 2e-11) * coin, 100)
+
+
 def test_doubling_checks_the_coins_of_every_chunk(monkeypatch, rng):
     # room for the fixed buffers and two walks: X = 5 runs in chunks of 2, 2 and 1
     n, x = 4, 5

@@ -1,6 +1,9 @@
+import copy
 import csv
 import dataclasses
 import math
+import pickle
+import typing
 import warnings
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from qwcycle.state import (
     Bloch,
     EntangledPair,
+    InitialStateSpec,
     Local,
     Raw,
     SeparablePair,
@@ -33,6 +37,13 @@ def test_walkstate_rejects_unnormalized():
 def test_walkstate_rejects_wrong_length():
     with pytest.raises(ValueError):
         WalkState(n_nodes=4, amplitudes=np.array([1.0, 0, 0, 0, 0, 0]))
+
+
+def test_walkstate_rejects_a_tiny_cycle_and_a_grid_of_three_rows():
+    with pytest.raises(ValueError, match="n_nodes must be an integer >= 2"):
+        WalkState(1, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match=r"grid must be \(2, N\), got \(3, 4\)"):
+        WalkState.from_grid(np.zeros((3, 4)))
 
 
 def test_grid_round_trip():
@@ -129,6 +140,13 @@ def test_local_and_bloch_name_non_finite_values():
     for spec in bad:
         with pytest.raises(ValueError, match="must be finite"):
             make_state(spec, 4)
+
+
+def test_make_state_rejects_a_zero_spinor_and_a_spec_it_does_not_know():
+    with pytest.raises(ValueError, match="local coin spinor must be nonzero"):
+        make_state(Local(0, 0, 0), 4)
+    with pytest.raises(TypeError, match="unknown initial-state spec 'local:0'"):
+        make_state("local:0", 4)
 
 
 def test_make_state_rejects_tiny_cycle():
@@ -275,6 +293,25 @@ def test_raw_from_a_file_keeps_the_tuple_contract(tmp_path):
     # nor can the columns behind the tuple change under it
     with pytest.raises(ValueError, match="read-only"):
         read._columns[2][0] = 1.0
+
+
+def test_raw_is_a_frozen_dataclass_that_reads_a_file_lazily(tmp_path):
+    # every spec is a frozen dataclass; Raw's one field is entries
+    for spec_type in typing.get_args(InitialStateSpec):
+        assert dataclasses.is_dataclass(spec_type)
+        assert spec_type.__dataclass_params__.frozen
+    assert [field.name for field in dataclasses.fields(Raw)] == ["entries"]
+    rows = ((0, 1, 0.5, 0.0), (1, 2, 0.25, -1.0), (1, 0, 1 / 3, 1e-300))
+    path = _raw_file(tmp_path, "".join(f"{s},{j},{re!r},{im!r}\n" for s, j, re, im in rows))
+    # make_state scatters a file's columns without building the row tuples
+    read = parse_state(f"raw:@{path}")
+    make_state(read, 3)
+    assert "entries" not in vars(read)
+    round_trips = (copy.copy, copy.deepcopy, lambda spec: pickle.loads(pickle.dumps(spec)))
+    for spec in (parse_state(f"raw:@{path}"), Raw(entries=rows)):
+        for round_trip in round_trips:
+            again = round_trip(spec)
+            assert again == spec and spec == again and again.entries == rows
 
 
 @pytest.mark.parametrize(
