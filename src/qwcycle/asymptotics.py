@@ -14,7 +14,8 @@ zone i of each block k' that coincides with it, and for any two blocks
     sum_+/- P_k^+/- X P_k'^+/- = (X + T_k X T_k') / 2,
 
 so no per-zone part is formed.  The limiting distribution pairs the
-coinciding partners k' and reads the rows [psi_k; T_k psi_k] (``_turned``).
+coinciding partners k' and reads the rows [psi_k; T_k psi_k], one (4, N)
+buffer whose column k is block k (``_turned``).
 The coin density takes k' = k, X = psi_k psi_k^dag = (|psi_k|^2 + v_k.sigma)/2
 with the sector's real Bloch vector v_k, and
 (X + T_k X T_k)/2 = (|psi_k|^2 + (M_k v_k).sigma)/2: the average dephases v_k
@@ -40,12 +41,12 @@ __all__ = ["asymptotic_reduced_density", "limiting_distribution"]
 
 
 def _turned(spec: Spectrum, psis: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """T_k psi_k = (m_k.sigma + [scalar_k]) psi_k of sector spinors psis (..., N, 2):
-    the turn about the axis, and the identity on a scalar block (axis zero)."""
+    """T_k psi_k = (m_k.sigma + [scalar_k]) psi_k (2, N) of sector spinors psis
+    (2, N), column k of each: the turn about the axis, and the identity on a
+    scalar block (axis zero)."""
     m1, m2, m3 = np.moveaxis(spec.axes, -1, 0)
-    s, up, down = spec.scalar, psis[..., 0], psis[..., 1]
-    turned = [(s + m3) * up + (m1 - 1j * m2) * down, (m1 + 1j * m2) * up + (s - m3) * down]
-    return np.stack(turned, axis=-1)
+    s, up, down = spec.scalar, psis[0], psis[1]
+    return np.stack([(s + m3) * up + (m1 - 1j * m2) * down, (m1 + 1j * m2) * up + (s - m3) * down])
 
 
 def _bloch(psis: NDArray[np.complex128]) -> tuple[float, NDArray[np.float64]]:
@@ -88,7 +89,10 @@ def limiting_distribution(state0: WalkState, coin: CoinParams) -> NDArray[np.flo
     """Infinite-time-averaged node distribution pi(v) = sum_g |P_g psi (v)|^2.
 
     P_g projects onto one group of coinciding eigenphases; each group sums its
-    (k, zone) parts P_k^i psi_k, which the rows [psi_k; T_k psi_k] carry.  Two
+    (k, zone) parts P_k^i psi_k, which the rows [psi_k; T_k psi_k] carry: the
+    two components of psi_k and of T_k psi_k, one (4, N) buffer, column k
+    each, so that a partner gather takes whole columns and each transform runs
+    along a contiguous row.  Two
     spreads, each held against DEGENERACY_TOL, decide the groups before any
     spectrum is built.  With m = round(N zeta / pi), partners
     k' = (m - k) mod N differ in phase by at most 2|zeta - m pi / N|; when that
@@ -109,14 +113,14 @@ def limiting_distribution(state0: WalkState, coin: CoinParams) -> NDArray[np.flo
     if not (paired or zoned):
         return np.full(n, 1.0 / n)
 
-    psis = momentum_spinors(state0).T
-    rows = np.stack([psis, _turned(spectrum(n, coin.theta, coin.zeta, coin.xi), psis)], axis=1)
+    psis = momentum_spinors(state0)
+    rows = np.concatenate([psis, _turned(spectrum(n, coin.theta, coin.zeta, coin.xi), psis)])
     if zoned:
-        probs = 0.5 * n * (np.abs(np.fft.ifft(rows, axis=0)) ** 2).sum(axis=(1, 2))
+        probs = 0.5 * n * (np.abs(np.fft.ifft(rows, axis=1)) ** 2).sum(axis=0)
     else:
         ks = np.arange(n)
         partner = (m - ks) % n
-        inner = 0.5 * np.einsum("krc,krc->k", rows[partner].conj(), rows)
+        inner = 0.5 * np.einsum("rk,rk->k", rows.take(partner, axis=1).conj(), rows)
         inner[partner == ks] = 0.0  # a self-paired block has no cross term
         shift = (ks - partner) % n
         cross = np.bincount(shift, inner.real, n) + 1j * np.bincount(shift, inner.imag, n)

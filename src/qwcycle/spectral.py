@@ -31,16 +31,19 @@ global phase eta/2: every coincidence is a difference of eigenphases, where
 eta cancels, and the projectors need only the axes and the scalar blocks.
 
 Every sector term is one angle addition over the N roots of unity, e.g.
-sin(xi - w) = sin xi cos w - cos xi sin w, so a call takes cos w and sin w once
-(two trig passes over N, whatever the number of coins) and each of the four
-terms sin(xi - w), cos(xi - w), sin(zeta - w) and cos(w - zeta) is two products
-and a sum over (coins x N).  The terms carry the rounding of w = 2 pi k / N, as
-a sine taken of zeta - w itself would, so near a scalar block the axes are good
-to eps / sin(alpha) either way.
+sin(xi - w) = sin xi cos w - cos xi sin w, so each of the four terms
+sin(xi - w), cos(xi - w), sin(zeta - w) and cos(w - zeta) is two products and a
+sum over (coins x N).  cos w and sin w depend on N alone: they come from a
+read-only table per cycle size, kept for the last four sizes (``_roots``), so a
+call at a size seen before takes no trig pass over N, and a table read is bit
+for bit the pass it replaces.  The terms carry the rounding of w = 2 pi k / N,
+as a sine taken of zeta - w itself would, so near a scalar block the axes are
+good to eps / sin(alpha) either way.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +66,17 @@ class Spectrum(NamedTuple):
     scalar: NDArray[np.bool_]
 
 
+@lru_cache(maxsize=4)
+def _roots(n_nodes: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """cos w and sin w over the N roots of unity, w = 2 pi k / N, read-only:
+    every caller shares the arrays.  At 16 bytes a node, four sizes hold
+    8.4 MB at N = 2^17 + 1."""
+    w = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+    cos_w, sin_w = np.cos(w), np.sin(w)
+    cos_w.flags.writeable = sin_w.flags.writeable = False
+    return cos_w, sin_w
+
+
 def _rotated(cos_w, sin_w, a, b, out):
     """a cos w + b sin w over the roots of unity, written into out: the angle
     addition behind every sector term."""
@@ -74,16 +88,16 @@ def _rotated(cos_w, sin_w, a, b, out):
 def spectrum(n_nodes: int, theta, zeta, xi) -> Spectrum:
     """All N blocks in closed form; the angles may be arrays that broadcast.
 
-    cos w and sin w are taken once over the N roots of unity, and each sector
-    term is an angle addition on the coin's own cos and sin of zeta and xi.
+    cos w and sin w over the N roots of unity come from the per-N table
+    ``_roots``, and each sector term is an angle addition on the coin's own cos
+    and sin of zeta and xi.
     The tilt sin(alpha) m_k is written component by component into one buffer,
     stored component-major so that each component is contiguous, and ``axes``
     is its (..., N, 3) view.  One reciprocal of sin(alpha), zero on the scalar
     blocks, then scales it to the unit axes.
     """
     theta, zeta, xi = (x[..., None] for x in np.broadcast_arrays(theta, zeta, xi))
-    w = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    cos_w, sin_w = np.cos(w), np.sin(w)
+    cos_w, sin_w = _roots(n_nodes)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     # sin t (sin xi, cos xi) and cos t (sin zeta, cos zeta), once per coin
     x_sin, x_cos = sin_t * np.sin(xi), sin_t * np.cos(xi)

@@ -71,14 +71,13 @@ class WalkState:
     amplitudes: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        n = self.n_nodes
-        if not isinstance(n, (int, np.integer)) or n < 2:
-            raise ValueError(f"n_nodes must be an integer >= 2, got {n!r}")
+        n = _whole(self.n_nodes, 2, "n_nodes")
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amps.shape != (2 * n,):
             raise ValueError(f"amplitudes must have length {2 * n}, got {amps.shape}")
         if not abs(amps @ amps.conj() - 1.0) <= _NORM_TOL:
             raise ValueError("state is not normalized to within 1e-12")
+        object.__setattr__(self, "n_nodes", n)
         object.__setattr__(self, "amplitudes", amps)
 
     def as_grid(self) -> NDArray[np.complex128]:
@@ -289,8 +288,9 @@ def momentum_spinors(state: WalkState) -> NDArray[np.complex128]:
     """All k-sector coin spinors at once, shape (2, N); column k is psi_k.
 
     psi_k = (1/sqrt N) sum_j e^{-2 pi i k j / N} (a_{0,j}, a_{1,j}), i.e. a
-    forward FFT along the node axis scaled to keep sum_k |psi_k|^2 = 1.
+    forward FFT along the node axis with ``norm="ortho"``, which keeps
+    sum_k |psi_k|^2 = 1 and scales inside the transform, bit for bit as a
+    division by sqrt(N) after it would.
     """
-    n = state.n_nodes
-    return np.fft.fft(state.as_grid(), axis=1) / math.sqrt(n)
+    return np.fft.fft(state.as_grid(), axis=1, norm="ortho")
 

@@ -355,6 +355,22 @@ def test_core_matches_per_block_reference(rng):
         assert np.abs(asymptotic_reduced_density(state, coin) - rho_ref).max() < 1e-13
 
 
+def test_turned_returns_t_psi_alone_as_two_rows(rng):
+    # T_k = m_k.sigma, or 1 on a scalar block: theta = 0 with zeta on the
+    # 2 pi/N grid makes blocks 3 and 7 scalar, and a generic coin has none
+    n = 8
+    psis = momentum_spinors(random_state(rng, n))
+    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    for coin in (CoinParams(0.0, 2 * math.pi * 3 / n, 0.4), CoinParams(0.9, 0.37, 1.1)):
+        spec = spectrum(n, coin.theta, coin.zeta, coin.xi)
+        turned = asymptotics._turned(spec, psis)
+        assert turned.shape == (2, n)
+        for k in range(n):
+            t_k = np.eye(2) if spec.scalar[k] else np.einsum("i,iab->ab", spec.axes[k], sigma)
+            assert np.abs(turned[:, k] - t_k @ psis[:, k]).max() < 1e-15
+        assert spec.scalar.sum() == (2 if coin.theta == 0.0 else 0)
+
+
 def test_wrong_factor_is_not_renormalized_away(monkeypatch, rng):
     # a zone route with T psi doubled sums to 2.5 before the final division;
     # the check sees that sum instead of the renormalized vector

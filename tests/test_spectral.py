@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qwcycle.coin import CoinParams, build_coin, hadamard_params
 from qwcycle.reference import block, degeneracy_table, solve_all_blocks, solve_block
-from qwcycle.spectral import DEGENERACY_TOL, spectrum
+from qwcycle.spectral import DEGENERACY_TOL, _roots, spectrum
 
 angle = st.floats(min_value=-3.2, max_value=3.2, allow_nan=False)
 coin_strategy = st.builds(CoinParams, theta=angle, zeta=angle, xi=angle, eta=angle)
@@ -231,3 +231,28 @@ def test_angle_addition_matches_per_sector_trig(n):
         assert (np.abs(spec.alpha - alpha) <= gate).all(), (theta, zeta)
         assert (np.abs(spec.axes - axes).max(axis=-1) <= gate).all(), (theta, zeta)
     assert spectrum(n, 0.0, on_grid, 0.4).scalar[[3, 3 + n // 2]].all()
+
+
+def test_roots_table_is_bit_identical_cold_warm_and_after_eviction():
+    # five sizes through a table of four: every size is evicted and read
+    # again, and each read must equal a cold call, bit for bit
+    sizes = (3, 8, 1024, 2048, 4097)
+    coins = (0.7, np.array([[0.1], [0.3]]), np.linspace(-3.0, 3.0, 3))
+    cold = {}
+    for n in sizes:
+        _roots.cache_clear()
+        cold[n] = spectrum(n, *coins)
+        w = 2.0 * np.pi * np.arange(n) / n
+        assert np.array_equal(_roots(n)[0], np.cos(w)) and np.array_equal(_roots(n)[1], np.sin(w))
+    for n in sizes + sizes[::-1] + sizes:
+        spec = spectrum(n, *coins)
+        for got, want in zip(spec, cold[n]):
+            assert np.array_equal(got, want), n
+    assert _roots.cache_info().maxsize == 4
+
+
+def test_roots_table_is_read_only():
+    cos_w, sin_w = _roots(8)
+    for table in (cos_w, sin_w):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 2.0

@@ -40,10 +40,21 @@ def test_walkstate_rejects_wrong_length():
 
 
 def test_walkstate_rejects_a_tiny_cycle_and_a_grid_of_three_rows():
-    with pytest.raises(ValueError, match="n_nodes must be an integer >= 2"):
+    with pytest.raises(ValueError, match="n_nodes must be a whole number >= 2"):
         WalkState(1, np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match=r"grid must be \(2, N\), got \(3, 4\)"):
         WalkState.from_grid(np.zeros((3, 4)))
+
+
+def test_walkstate_counts_the_cycle_as_make_state_does():
+    # one count rule: a whole float is the int it names, and stored as that int
+    built, made = WalkState(4.0, make_state(Local(1), 4).amplitudes), make_state(Local(1), 4.0)
+    assert type(built.n_nodes) is type(made.n_nodes) is int
+    assert built.n_nodes == made.n_nodes == 4
+    assert np.array_equal(built.amplitudes, made.amplitudes)
+    for bad in (True, 4.5, float("nan"), "4", None):
+        with pytest.raises((ValueError, TypeError)):
+            WalkState(bad, np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 def test_grid_round_trip():
@@ -324,6 +335,15 @@ def test_raw_is_a_frozen_dataclass_that_reads_a_file_lazily(tmp_path):
 def test_parse_state_rejects(text):
     with pytest.raises(ValueError):
         parse_state(text)
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 4096])
+def test_momentum_spinors_are_the_fft_divided_by_sqrt_n(rng, n):
+    z = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    grid = z / np.linalg.norm(z)
+    psis = momentum_spinors(WalkState.from_grid(grid))
+    assert psis.shape == (2, n)
+    assert np.array_equal(psis, np.fft.fft(grid, axis=1) / math.sqrt(n))
 
 
 def test_momentum_spinors_conventions(rng):
