@@ -49,9 +49,14 @@ def _whole(value: float, least: int, name: str) -> int:
     """``value`` as an int when it is a whole number >= ``least``.
 
     The one rule for every count (cycle size, step count, window, axis
-    resolution): int() alone would run 2.5 as 2 and overflow on inf.
+    resolution): int() alone would run 2.5 as 2 and overflow on inf, and a
+    string or None raises this ValueError too, not a TypeError from float().
     """
-    if not (float(value).is_integer() and value >= least):
+    try:
+        whole = float(value).is_integer() and value >= least
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
         raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
     return int(value)
 

@@ -26,8 +26,10 @@ every temperature of this module off (t, |r|).  Time-averaging keeps r =
 sum_k M_k v_k of the sector Bloch vectors v_k (``asymptotics._dephased``), and
 both scans are that one linear map on real 3-vectors: no grid point forms a
 spinor or a 2x2 matrix.  A local state has v_k = b / N in every sector, so
-the Bloch scan is the one 3x3 matrix (1/N) sum_k M_k applied to the grid's
-Bloch vectors b(gamma, phi), formed from the trig of the two axes.  The phase
+the Bloch scan is the one 3x3 matrix M = (1/N) sum_k M_k applied to the grid's
+Bloch vectors b(gamma, phi), formed from the trig of the two axes.  Where
+P |sin theta| >= 1 (P = N for odd N, N/2 for even N) M comes in O(1) from the
+aliasing closed form ``asymptotics._aliased``; below it, from a spectrum.  The phase
 scan solves only xi = 0, because xi is a gauge:
 D = diag(e^{i xi/2}, e^{-i xi/2}) commutes with the shift and
 Gamma(theta, zeta, xi) = D Gamma(theta, zeta, 0) D^dag, so rho_c(xi; psi) =
@@ -37,7 +39,10 @@ fields, the in-plane part of v, its quarter turn and its z part, into A, B
 and C, and r(zeta, xi) = cos xi A + sin xi B + C.  Its T0 is row 0 of its own
 spectrum: the Hadamard coin (pi/4, pi/2, pi/2) is the row
 (theta, zeta) = (pi/4, pi/2) at xi = pi/2, and its 2x2 density is built and
-checked before its temperature is read.  The scan takes one spectrum per
+checked before its temperature is read.  A local start, when the scan's theta
+and T0's pi/4 both lie in the closed form's domain, takes one M per row, T0's
+included, at xi = 0 and maps the three fields of its one b: no FFT and no
+spectrum.  Any other start takes one spectrum per
 chunk of at most ``_SCAN_SECTORS`` (zeta, k) sectors, T0's row counted in the
 first, and a chunk holds at least one row of N sectors, so a spectrum spans
 at most max(``_SCAN_SECTORS``, N) sectors.
@@ -52,7 +57,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .angles import canonicalize
-from .asymptotics import _bloch, _coin_density, _dephased
+from .asymptotics import _aliased, _aliases, _bloch, _coin_density, _dephased, _local_bloch
 from .coin import CoinParams, hadamard_params
 from .evolution import _eigenvalues, check_reduced_density
 from .spectral import spectrum
@@ -160,10 +165,13 @@ def bloch_temperature_scan(
     gammas, phis = _axis(gamma_axis), _axis(phi_axis)
 
     # a local state has v_k = b / N in every sector, b = (sin g cos p, sin g sin p,
-    # cos g), so r = M b with M = (1/N) sum_k M_k; row f of mean is M e_f, and
-    # the reference (pi, 0) rides along as row and column 0
-    spec = spectrum(n, coin.theta, coin.zeta, coin.xi)
-    mean = _dephased(spec, np.eye(3)[..., None].repeat(n, axis=-1) / n)
+    # cos g), so r = M b with M = (1/N) sum_k M_k, symmetric; row f of mean is
+    # M e_f, and the reference (pi, 0) rides along as row and column 0
+    if _aliases(n, coin.theta):
+        mean = _aliased(n, coin.theta, coin.zeta, coin.xi)
+    else:
+        spec = spectrum(n, coin.theta, coin.zeta, coin.xi)
+        mean = _dephased(spec, np.eye(3)[..., None].repeat(n, axis=-1) / n)
     g, p = np.concatenate([[math.pi], gammas]), np.concatenate([[0.0], phis])
     sin_g = np.sin(g)[:, None]
     r = _swept(sin_g * mean[0], sin_g * mean[1], np.cos(g)[:, None] * mean[2], p)
@@ -196,22 +204,31 @@ def coin_phase_temperature_scan(
         raise ValueError(f"state lives on N={state.n_nodes}, not N={n}")
     zetas, xis = _axis(zeta_axis), _axis(xi_axis)
 
-    # D(xi)^dag turns every v_k about z by xi: v -> cos xi p + sin xi q + z, with
-    # p the in-plane part of v, q its quarter turn and z its z part
-    t, v = _bloch(momentum_spinors(state))  # independent of the coin
-    fields = np.zeros((3, 3, n))  # p, q, z
-    fields[0, :2], fields[1, :2], fields[2, 2] = v[:2], (-v[1], v[0]), v[2]
     # row 0 is T0's: the Hadamard coin, (theta, zeta) at xi = 0 under the gauge;
     # the rest hold the angles CoinParams would, so zeta = pi is the coin at -pi
     hadamard = hadamard_params()
     thetas = np.full(zetas.size + 1, canonicalize(theta))
     thetas[0] = hadamard.theta
     wrapped = np.array([hadamard.zeta] + [canonicalize(z) for z in zetas])
-    rows = max(1, _SCAN_SECTORS // n)
+    in_domain = _aliases(n, hadamard.theta) and _aliases(n, thetas[-1])
+    local = _local_bloch(state) if in_domain else None  # the domain test goes first
+    # D(xi)^dag turns every v_k about z by xi: v -> cos xi p + sin xi q + z, with
+    # p the in-plane part of v, q its quarter turn and z its z part; a local
+    # state has v_k = b / N in every sector, so its one column b stands for all
+    t, v = _bloch(momentum_spinors(state)) if local is None else local
+    fields = np.zeros((3, 3, v.shape[-1]))  # p, q, z
+    fields[0, :2], fields[1, :2], fields[2, 2] = v[:2], (-v[1], v[0]), v[2]
+    if local is None:
+        rows = max(1, _SCAN_SECTORS // n)
+        chunks = (
+            _dephased(spectrum(n, thetas[i : i + rows], wrapped[i : i + rows], 0.0), fields)
+            for i in range(0, wrapped.size, rows)
+        )
+    else:  # one symmetric M = (1/N) sum_k M_k per row maps p, q and z
+        chunks = [fields[..., 0] @ _aliased(n, thetas, wrapped, 0.0)]
     lengths = []
-    for i in range(0, wrapped.size, rows):
-        spec = spectrum(n, thetas[i : i + rows], wrapped[i : i + rows], 0.0)
-        a, b, c = _dephased(spec, fields).swapaxes(0, 1)  # A, B, C of each row
+    for i, chunk in enumerate(chunks):
+        a, b, c = chunk.swapaxes(0, 1)  # A, B, C of each row
         if i == 0:
             r0 = _swept(a[:1], b[:1], c[:1], [hadamard.xi])[:, 0, 0]
             check_reduced_density(_coin_density(t, r0))

@@ -133,7 +133,7 @@ def test_reduced_density_is_exactly_hermitian(rng):
                 assert np.array_equal(rho.diagonal().imag, np.zeros(2)), (n, theta, zeta)
 
 
-def _line_walk_gap(rng):
+def _line_walk_gap(rng, rho00):
     # a local |0> has v_k = e_z / N in every sector and no block is scalar at
     # |sin theta| >= 0.05, so rho_c[0, 0] = (1 + <m_3^2>)/2 over the N-point
     # trapezoid rule of the line walk's <m_3^2> = 1 - |sin theta|, for every
@@ -143,20 +143,139 @@ def _line_walk_gap(rng):
         for theta in (0.0501, 0.7, -1.2, math.pi / 2, 3.09):
             for zeta in (4 * math.pi / n, rng.uniform(-math.pi, math.pi)):
                 coin = CoinParams(theta, zeta, rng.uniform(-math.pi, math.pi))
-                rho = asymptotic_reduced_density(make_state(Local(int(rng.integers(n))), n), coin)
-                gap = max(gap, abs(rho[0, 0] - (1 - abs(math.sin(theta)) / 2)))
+                got = rho00(n, coin, int(rng.integers(n)))
+                gap = max(gap, abs(got - (1 - abs(math.sin(theta)) / 2)))
     return gap
 
 
+def _dephased_rho00(n, coin, j):
+    # the spectrum path fed the field v_k = e_z / N directly: no FFT
+    field = np.zeros((1, 3, n))
+    field[0, 2] = 1.0 / n
+    r = asymptotics._dephased(spectrum(n, coin.theta, coin.zeta, coin.xi), field)[0]
+    return (1.0 + r[2]) / 2
+
+
+def _public_rho00(n, coin, j):
+    # these coins lie in the closed form's domain at both sizes
+    return asymptotic_reduced_density(make_state(Local(j), n), coin)[0, 0]
+
+
 def test_reduced_density_of_a_local_state_is_the_line_walk(monkeypatch, rng):
-    assert _line_walk_gap(rng) <= 1e-14
+    assert _line_walk_gap(rng, _dephased_rho00) <= 1e-14
+    assert _line_walk_gap(rng, _public_rho00) <= 1e-14
     # a kernel that keeps every v_k whole (M_k = 1, no dephasing) reads rho_c[0, 0] = 1
     monkeypatch.setattr(
         asymptotics,
         "_dephased",
         lambda spec, v: np.broadcast_to(v.sum(axis=-1), spec.scalar.shape[:-1] + v.shape[:-1]),
     )
-    assert _line_walk_gap(rng) > 0.02
+    assert _line_walk_gap(rng, _dephased_rho00) > 0.02
+
+
+def _mean_dephasing(n, theta, zeta, xi):
+    """(1/N) sum_k M_k by the spectrum path: row f is M e_f, and M is symmetric."""
+    field = np.eye(3)[..., None].repeat(n, axis=-1) / n
+    return _dephased(spectrum(n, theta, zeta, xi), field)
+
+
+def _aliasing_coins(rng, n):
+    """Coins in the closed form's domain P |sin theta| >= 1 on an N-cycle:
+    theta = +/-pi/2, theta near pi, and |sin theta| log-uniform in [1/P, 1],
+    each with zeta on the pi / N grid, 1e-9 off it and generic."""
+    p = n if n % 2 else n // 2
+    sizes = np.exp(rng.uniform(math.log(1.0 / p), 0.0, 6))
+    thetas = np.arcsin(sizes) * rng.choice([-1.0, 1.0], 6)
+    thetas[::2] = np.copysign(math.pi, thetas[::2]) - thetas[::2]  # theta and pi - theta
+    near_pi = math.pi - math.asin(min(1.0, 1.01 / p))
+    thetas = np.concatenate([[math.pi / 2, -math.pi / 2, near_pi], thetas])
+    thetas = thetas[p * np.abs(np.sin(thetas)) >= 1.0]
+    m = rng.integers(-n, n, thetas.size)
+    grid = m * math.pi / n
+    zetas = np.stack([grid, grid + 1e-9, rng.uniform(-math.pi, math.pi, thetas.size)])
+    return np.broadcast_to(thetas, zetas.shape), zetas, rng.uniform(-math.pi, math.pi, zetas.shape)
+
+
+@pytest.mark.parametrize("n", list(range(2, 41)) + [64, 100, 101, 1000, 1001, 4096])
+def test_aliased_mean_matches_the_spectrum_path(rng, n):
+    thetas, zetas, xis = _aliasing_coins(rng, n)
+    assert all(asymptotics._aliases(n, t) for t in thetas.flat)
+    got = asymptotics._aliased(n, thetas, zetas, xis)
+    assert np.array_equal(got, got.swapaxes(-1, -2))
+    assert np.abs(got - _mean_dephasing(n, thetas, zetas, xis)).max() <= 1e-14
+    assert np.abs(np.trace(got, axis1=-2, axis2=-1) - 1.0).max() <= 1e-15
+
+
+# (1/N) sum_k M_k at 50 digits, entries 00, 11, 22, 01, 02, 12.  With mpmath at
+# mp.dps = 50 and s, c = sin, cos of mpf(theta) for the float theta given:
+#   t_k = (s sin(xi - w), s cos(xi - w), c sin(zeta - w)), w = 2 pi k / N,
+#   M = (1/N) sum_k t_k t_k^T / |t_k|^2
+ALIASED_MPMATH = [
+    ((3, 1.0, 0.4, -2.0), [
+        0.41945366104279913, 0.4212256118310235, 0.15932072712617731,
+        0.03395693041099877, -0.18387338964818273, 0.1666119669917158,
+    ]),
+    ((8, -2.5, 3 * math.pi / 8, 1.0), [
+        0.23112130232966593, 0.36260415392525364, 0.40627454374508043,
+        -0.024460042443003524, 0.29869561124687216, 0.053766538147842824,
+    ]),
+    ((2, math.pi / 2, 0.7, -0.3), [
+        0.08733219254516085, 0.9126678074548391, 1.556062371707669e-33,
+        -0.2823212366975177, -1.165737271679403e-17, 3.7685116863947966e-17,
+    ]),
+    ((64, math.pi - math.asin(1.2 / 32), -3.0, 0.5), [
+        0.0049647793997653605, 0.026617016846878273, 0.9684182037533564,
+        0.009536430337128742, 0.03475103469228488, -0.010828354778361842,
+    ]),
+    ((101, 0.02, 1.3, 2.9), [
+        0.019772648523633935, 0.00040777204811974, 0.9798195794282464,
+        -0.0005524775991619165, -0.0012553259527913084, -0.01957069482549609,
+    ]),
+]
+
+
+@pytest.mark.parametrize("args, want", ALIASED_MPMATH)
+def test_aliased_mean_matches_mpmath(args, want):
+    m = asymptotics._aliased(*args)
+    got = [m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2]]
+    assert np.abs(np.array(got) - want).max() <= 1e-15, args
+
+
+def test_closed_form_takes_only_local_states_in_its_domain(monkeypatch, rng):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return spectrum(*args)
+
+    monkeypatch.setattr("qwcycle.asymptotics.spectrum", counted)
+    n, p = 64, 32
+    inside, below = math.asin(1.0 / p), math.asin((1.0 - 1e-12) / p)
+    local = make_state(Local(5, 0.6, 0.8j), n)
+    asymptotic_reduced_density(local, CoinParams(inside, 0.3, -1.0))
+    assert calls == []
+    asymptotic_reduced_density(local, CoinParams(below, 0.3, -1.0))
+    assert len(calls) == 1
+    asymptotic_reduced_density(random_state(rng, n), CoinParams(0.7, 0.3, -1.0))
+    assert len(calls) == 2
+    # a -0.0 amplitude on a second node counts as nonzero: the state falls back
+    grid = np.zeros((2, n), dtype=complex)
+    grid[0, 5] = 1.0
+    grid[1, 9] = -0.0
+    rho = asymptotic_reduced_density(WalkState.from_grid(grid), CoinParams(0.7, 0.3, -1.0))
+    assert len(calls) == 3
+    assert np.abs(rho - asymptotic_reduced_density(make_state(Local(5), n), CoinParams(0.7, 0.3, -1.0))).max() <= 1e-15
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 1024])
+def test_closed_form_raises_no_floating_point_error(n, theta):
+    # every floating-point error raises, underflow included
+    with np.errstate(all="raise"):
+        rho = asymptotic_reduced_density(make_state(Local(0, 0.6, 0.8), n), CoinParams(theta, 0.7, -0.3))
+        m = asymptotics._aliased(n, theta, 0.7, -0.3)
+    assert np.abs(m - _mean_dephasing(n, theta, 0.7, -0.3)).max() <= 1e-15
+    assert np.isfinite(rho).all()
 
 
 def test_limiting_distribution_uniform_without_degeneracy():

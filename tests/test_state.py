@@ -23,6 +23,7 @@ from qwcycle.state import (
     momentum_spinors,
     parse_state,
 )
+from qwcycle.verify import VerifyConfig
 
 
 def test_walkstate_rejects_unnormalized():
@@ -55,6 +56,22 @@ def test_walkstate_counts_the_cycle_as_make_state_does():
     for bad in (True, 4.5, float("nan"), "4", None):
         with pytest.raises((ValueError, TypeError)):
             WalkState(bad, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", ["4", "x", None, [4], 4 + 0j])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda n: WalkState(n, np.array([1.0, 0.0, 0.0, 0.0])), "n_nodes"),
+        (lambda n: make_state(Local(0), n), "n_nodes"),
+        (lambda n: VerifyConfig(t_max=n), "t_max"),
+    ],
+)
+def test_a_count_that_is_no_number_raises_the_count_rule(build, name, bad):
+    # the one count rule names the count, whatever the type of what it got
+    with pytest.raises(ValueError, match=f"{name} must be a whole number >= ") as info:
+        build(bad)
+    assert repr(bad) in str(info.value)
 
 
 def test_grid_round_trip():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qwcycle.coin import CoinParams, hadamard_params
 from qwcycle.asymptotics import asymptotic_reduced_density
 from qwcycle.spectral import spectrum
-from qwcycle.state import Bloch, Local, WalkState, make_state
+from qwcycle.state import Bloch, EntangledPair, Local, WalkState, make_state
 from qwcycle.evolution import _eigenvalues
 from qwcycle.thermo import (
     _length,
@@ -144,10 +144,12 @@ def test_scans_match_per_point_density(rng, theta):
 
 
 def test_scans_take_one_spectrum(monkeypatch):
-    # the phase scan solves only xi = 0 and rotates the state instead (xi is a
-    # gauge), so below _SCAN_SECTORS (zeta, k) sectors each scan takes one
-    # spectrum, whatever its xi axis; T0 rides in it as row 0, the Hadamard
-    # coin under the same gauge, and no density goes through asymptotics
+    # a local start in the closed form's domain takes no spectrum: one
+    # M = (1/N) sum_k M_k per coin row.  A spread start solves only xi = 0 and
+    # rotates the state instead (xi is a gauge), so below _SCAN_SECTORS
+    # (zeta, k) sectors it takes one spectrum, whatever its xi axis; T0 rides
+    # in it as row 0, the Hadamard coin under the same gauge, and no density
+    # goes through asymptotics
     calls = []
 
     def counted(*args):
@@ -162,15 +164,16 @@ def test_scans_take_one_spectrum(monkeypatch):
     monkeypatch.setattr("qwcycle.thermo.asymptotic_reduced_density", no_density, raising=False)
     axes = (-math.pi, math.pi, 7), (-math.pi, math.pi, 5)
     bloch_temperature_scan(CoinParams(0.6, 0.2, -0.8), 9, *axes)
+    coin_phase_temperature_scan(0.6, Local(0, 0.6, 0.8), 9, *axes)
+    assert calls == []
+    whole = coin_phase_temperature_scan(0.6, EntangledPair(4), 9, *axes)
     assert len(calls) == 1
-    whole = coin_phase_temperature_scan(0.6, Local(0, 0.6, 0.8), 9, *axes)
-    assert len(calls) == 2
 
     # one sector row per chunk: T0's row sits alone in the first, and every
     # value and T0 come out bit for bit as from one spectrum
     monkeypatch.setattr("qwcycle.thermo._SCAN_SECTORS", 9)
-    chunked = coin_phase_temperature_scan(0.6, Local(0, 0.6, 0.8), 9, *axes)
-    assert len(calls) == 2 + 1 + 7
+    chunked = coin_phase_temperature_scan(0.6, EntangledPair(4), 9, *axes)
+    assert len(calls) == 1 + 1 + 7
     assert np.array_equal(chunked.values, whole.values)
     assert chunked.reference_temperature == whole.reference_temperature
 
@@ -200,6 +203,46 @@ def test_phase_scan_reads_real_bloch_vectors():
     # a chunk holds its spectrum and dephases three real 3-vector fields, near
     # 90 bytes a sector: traced near 5.7 MiB
     peak = _traced_phase_scan()[1]
+    assert peak <= 8 * 2**20, peak
+
+
+def test_local_scans_match_the_spectrum_path(monkeypatch, rng):
+    # the closed form against the same scans with it switched off, which take
+    # the spectrum path; N = 2 at theta = pi/2 and P |sin theta| = 1 included
+    axes = (-math.pi, math.pi, 7), (-math.pi, math.pi, 5)
+    cases = []
+    for n, theta in [(9, 0.6), (100, -2.9), (2, math.pi / 2), (64, math.asin(1 / 32))]:
+        coin = CoinParams(theta, rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
+        cases.append((n, coin, Local(int(rng.integers(n)), 0.6, 0.8j)))
+
+    def scans():
+        return [
+            grid
+            for n, coin, start in cases
+            for grid in (
+                bloch_temperature_scan(coin, n, *axes),
+                coin_phase_temperature_scan(coin.theta, start, n, *axes),
+            )
+        ]
+
+    got = scans()
+    monkeypatch.setattr("qwcycle.thermo._aliases", lambda n, theta: False)
+    for grid, want in zip(got, scans()):
+        _assert_close(grid.reference_temperature, want.reference_temperature)
+        for value, expected in zip(grid.values.flat, want.values.flat):
+            _assert_close(value, expected)
+
+
+def test_phase_scan_memory_is_bounded_from_a_spread_start():
+    # the chunked spectrum path, which a local start no longer takes: an
+    # entangled pair at the same size, near 90 bytes a sector
+    theta, _, n, *axes = MEMORY_SCAN
+    tracemalloc.start()
+    try:
+        coin_phase_temperature_scan(theta, EntangledPair(7), n, *axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= 8 * 2**20, peak
 
 
@@ -302,4 +345,26 @@ def test_phase_scan_reference_is_the_hadamard_line_walk():
         lam = np.array([1.0, math.exp(-2.0 / t0)]) / (1.0 + math.exp(-2.0 / t0))
         entropy = -(lam * np.log2(lam)).sum()
         assert abs(entropy - LINE_ENTROPY) <= 1e-13, (n, entropy)
+        assert round(entropy, 3) == 0.872
+
+
+@pytest.mark.parametrize("n", [31, 1001, 2**20])
+def test_hadamard_local_states_are_the_line_walk(n):
+    # the closed form at three sizes against the line walk's coin densities
+    # for |0>, |1> and (|0> + i|1>)/sqrt 2 (Carneiro et al.): each has the
+    # eigenvalues 1/sqrt 2 and 1 - 1/sqrt 2, so the coin-position entropy 0.872
+    r = 1.0 / math.sqrt(2.0)
+    off = (1 - r) / 2
+    lines = [
+        (Local(0), [[1 - r / 2, off], [off, r / 2]]),
+        (Local(0, 0, 1), [[r / 2, -off], [-off, 1 - r / 2]]),
+        (Local(0, r, 1j * r), [[0.5, -0.5j * (math.sqrt(2) - 1)], [0.5j * (math.sqrt(2) - 1), 0.5]]),
+    ]
+    for spec, line in lines:
+        rho = asymptotic_reduced_density(make_state(spec, n), hadamard_params())
+        assert np.abs(rho - np.array(line)).max() <= 1e-15, (n, spec)
+        result = entanglement_temperature(rho)
+        lam = np.array([result.lambda1, result.lambda2])
+        entropy = -(lam * np.log2(lam)).sum()
+        assert abs(entropy - LINE_ENTROPY) <= 1e-15, (n, spec, entropy)
         assert round(entropy, 3) == 0.872
